@@ -374,10 +374,12 @@ func BenchmarkPhase1Incremental1000(b *testing.B) {
 // BenchmarkRepairVsDijkstra isolates the tentpole primitive: one
 // destination's SPF on the Table III 100-node RandTopo maintained
 // through link-down/link-up event pairs, by a fresh Dijkstra per event
-// versus a Ramalingam–Reps repair of the standing state (the link-event
-// path routing.Session.SetLinkState and the ctrl.Selector ride). Each
-// iteration is two events; the FullDijkstra/Repair ns/op ratio is the
-// repair's speedup and is tracked per-PR in CI.
+// versus a Ramalingam–Reps repair of the standing state. Repair drives
+// spf.RepairBatch with one change per event, the form every single
+// weight move and link flip of routing.Session (and so the
+// ctrl.Selector) takes. Each iteration is two events; the
+// FullDijkstra/Repair ns/op ratio is the repair's speedup and is
+// tracked per-PR in CI.
 func BenchmarkRepairVsDijkstra(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g, err := topogen.Generate(topogen.Spec{Kind: topogen.RandKind, Nodes: 100, DirectedLinks: 500}, rng)
@@ -408,14 +410,17 @@ func BenchmarkRepairVsDijkstra(b *testing.B) {
 		ws := spf.NewWorkspace(g)
 		mask := graph.NewMask(g)
 		ws.Run(g, w, dest, mask)
+		one := make([]spf.LinkChange, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			li := i % m
 			mask.FailLink(li)
-			ws.RepairLinkDown(g, w, li, mask)
+			one[0] = spf.LinkChange{Link: li, OldEff: int64(w[li]), NewEff: spf.Inf}
+			ws.RepairBatch(g, w, one, mask)
 			mask.ReviveLink(li)
-			ws.RepairLinkUp(g, w, li, mask)
+			one[0] = spf.LinkChange{Link: li, OldEff: spf.Inf, NewEff: int64(w[li])}
+			ws.RepairBatch(g, w, one, mask)
 		}
 	})
 }
@@ -461,10 +466,10 @@ func BenchmarkRecomputeSerialVsParallel1000(b *testing.B) {
 // BenchmarkBatchLinkRepair measures batched multi-link repair on the
 // SRLG shape it was built for: an 8-link shared-risk group tripping and
 // restoring on a persistent session over the Table III 100-node
-// RandTopo. PerEvent applies the 16 flips one SetLinkState at a time
-// (16 classify/repair/re-sum rounds); Batched uses two SetLinkStates
-// calls (one multi-link Ramalingam–Reps pass per affected destination
-// per transition). Results are bit-identical; the PerEvent/Batched
+// RandTopo. PerEvent applies the 16 flips one SetLinkState (a batch of
+// one) at a time (16 classify/repair/re-sum rounds); Batched uses two
+// SetLinkStates calls (one multi-link Ramalingam–Reps pass per affected
+// destination per transition). Results are bit-identical; the PerEvent/Batched
 // ns/op ratio is the batch speedup (acceptance bar: ≥2×).
 func BenchmarkBatchLinkRepair(b *testing.B) {
 	ev, w := benchEvaluator(b, 100, 500)

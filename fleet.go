@@ -46,8 +46,8 @@ type FleetOptions struct {
 	// (0: only on demand, at Close, and on SIGTERM drain in cmd/dtrd).
 	CheckpointInterval time.Duration
 	// Intake bounds every member's intake queue (Capacity, MaxBatch,
-	// RetryAfter; the Tap field is not supported fleet-wide — use
-	// SetDeliveryHook per network).
+	// RetryAfter). Per-network delivery audits use FleetMember.IntakeTap
+	// or SetDeliveryHook.
 	Intake IntakeOptions
 	// Workers is the per-session recompute worker budget of every
 	// member controller: 0 or 1 serial, >1 that many workers, <0
@@ -84,9 +84,6 @@ var fleetNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
 func NewFleet(members []FleetMember, opts FleetOptions) (*Fleet, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("repro: fleet needs at least one member")
-	}
-	if opts.Intake.Tap != nil {
-		return nil, fmt.Errorf("repro: FleetOptions.Intake.Tap is not supported; use Fleet.SetDeliveryHook per network")
 	}
 	f := &Fleet{members: make(map[string]*fleetMember, len(members))}
 	cfgs := make([]fleet.ShardConfig, 0, len(members))

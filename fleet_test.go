@@ -295,9 +295,6 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := NewFleet([]FleetMember{cross}, FleetOptions{}); err == nil || !strings.Contains(err.Error(), "different network") {
 		t.Errorf("cross-network library error = %v", err)
 	}
-	if _, err := NewFleet(members, FleetOptions{Intake: IntakeOptions{Tap: func([]string) {}}}); err == nil {
-		t.Error("fleet-wide Tap accepted")
-	}
 }
 
 func TestFleetReplayEpisode(t *testing.T) {

@@ -1,24 +1,23 @@
 package repro
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/ingest"
-	"repro/internal/scenario"
 )
 
-// ErrIntakeFull is returned by Intake.Enqueue when admitting the batch
-// would overflow the queue. The whole batch is shed (admission is
-// all-or-nothing), so accepted and shed counts always reconcile with
-// the events offered; callers surface the backpressure (HTTP 429 +
-// Retry-After in cmd/dtrd) and retry.
+// ErrIntakeFull is returned by Fleet.Enqueue when admitting a network's
+// sub-batch would overflow its shard's queue. The whole sub-batch is
+// shed (admission is all-or-nothing), so accepted and shed counts always
+// reconcile with the events offered; callers surface the backpressure
+// (HTTP 429 + Retry-After in cmd/dtrd) and retry.
 var ErrIntakeFull = ingest.ErrFull
 
-// ErrIntakeClosed is returned by Intake.Enqueue after Close has begun.
+// ErrIntakeClosed is returned by Fleet.Enqueue after the fleet has begun
+// closing.
 var ErrIntakeClosed = ingest.ErrClosed
 
-// IntakeOptions bounds and tunes an Intake.
+// IntakeOptions bounds and tunes the intake queue of every fleet shard.
 type IntakeOptions struct {
 	// Capacity is the maximum number of queued events (not batches);
 	// an Enqueue that would exceed it fails whole with ErrIntakeFull.
@@ -30,19 +29,6 @@ type IntakeOptions struct {
 	// RetryAfter is the backpressure hint surfaced to shed producers.
 	// Default 1s.
 	RetryAfter time.Duration
-	// Tap, when set, observes the labels of every delivered batch
-	// (pre-coalescing, in delivery order) from the delivery goroutine.
-	// Tests use it to audit exactly which accepted events reached the
-	// selector.
-	Tap func(labels []string)
-}
-
-// IntakeResult reports an accepted Enqueue: how many events were
-// admitted and the sequence number of the last one (sequence numbers
-// increase by one per accepted event, starting at 1).
-type IntakeResult struct {
-	Accepted int
-	LastSeq  uint64
 }
 
 // IntakeStats is a consistent snapshot of an intake's counters;
@@ -54,82 +40,3 @@ type IntakeStats struct {
 	Delivered uint64
 	Depth     int
 }
-
-// Intake is the high-rate telemetry path into a Controller: a bounded
-// asynchronous queue whose delivery goroutine coalesces superseded
-// events (last-wins per link, merged demand deltas) and folds each
-// batch into the controller under one lock acquisition. Safe for
-// concurrent use.
-type Intake struct {
-	c  *Controller
-	in *ingest.Intake
-}
-
-// NewIntake starts an intake queue delivering into the controller.
-// Call Close to drain and stop it. The controller core's ObserveBatch
-// is the delivery sink, threading the delivery span's trace context
-// into the selector so observe spans join the ingest trace.
-func (c *Controller) NewIntake(opts IntakeOptions) *Intake {
-	cfg := ingest.Config{
-		Capacity:   opts.Capacity,
-		MaxBatch:   opts.MaxBatch,
-		RetryAfter: opts.RetryAfter,
-	}
-	if opts.Tap != nil {
-		tap := opts.Tap
-		cfg.Tap = func(events []scenario.Event) {
-			labels := make([]string, len(events))
-			for i := range events {
-				labels[i] = events[i].Label
-			}
-			tap(labels)
-		}
-	}
-	return &Intake{c: c, in: ingest.New(cfg, c.core)}
-}
-
-// Enqueue validates and admits a batch of telemetry events, whole or
-// not at all: on success the events are delivered to the controller
-// asynchronously, in order; ErrIntakeFull sheds the batch under
-// backpressure, and any validation error rejects it before admission.
-func (q *Intake) Enqueue(events []ControlEvent) (IntakeResult, error) {
-	evs, err := q.c.toEvents(events)
-	if err != nil {
-		return IntakeResult{}, err
-	}
-	res, err := q.in.Enqueue(evs)
-	return IntakeResult{Accepted: res.Accepted, LastSeq: res.LastSeq}, err
-}
-
-// RetryAfter returns the configured backpressure hint.
-func (q *Intake) RetryAfter() time.Duration { return q.in.RetryAfter() }
-
-// Depth returns the number of events queued and awaiting delivery.
-func (q *Intake) Depth() int { return q.in.Depth() }
-
-// Stats returns a consistent snapshot of the intake's counters.
-func (q *Intake) Stats() IntakeStats {
-	st := q.in.Stats()
-	return IntakeStats{Accepted: st.Accepted, Shed: st.Shed, Delivered: st.Delivered, Depth: st.Depth}
-}
-
-// Pause holds deliveries (queued events accumulate) until Resume, so
-// operators can freeze selector state during maintenance windows.
-func (q *Intake) Pause() { q.in.Pause() }
-
-// Resume restarts deliveries after Pause.
-func (q *Intake) Resume() { q.in.Resume() }
-
-// Quiesce blocks until every accepted event has reached the
-// controller — the read-your-writes barrier between Enqueue and
-// Controller.Advise/State.
-func (q *Intake) Quiesce() { q.in.Quiesce() }
-
-// Close stops admitting events, drains everything already accepted,
-// and waits for delivery to finish or ctx to expire. Returns the first
-// delivery error, if any.
-func (q *Intake) Close(ctx context.Context) error { return q.in.Close(ctx) }
-
-// RefreshMetrics updates the queue depth and oldest-wait gauges; the
-// daemon calls it at metrics scrape.
-func (q *Intake) RefreshMetrics() { q.in.UpdateGauges() }

@@ -1,35 +1,45 @@
 package routing
 
-// Batched link events: a set of simultaneous link flips (an SRLG trip, a
-// maintenance window, a correlated restoration) classified once per
-// destination and repaired with one multi-link Ramalingam–Reps pass
-// (spf.RepairBatch) per affected destination, instead of one full
-// classify/repair/re-sum round per link.
+// Link changes: every weight move (Apply) and every set of simultaneous
+// link flips (SetLinkState, SetLinkStates: an SRLG trip, a maintenance
+// window, a correlated restoration) is described as a batch of
+// spf.LinkChange per class — the link's effective weight before and
+// after, Inf meaning down — classified once per destination and repaired
+// with one Ramalingam–Reps pass (spf.RepairBatch) per affected
+// destination. A single change is a batch of one.
 //
-// The per-destination classification generalizes the single-flip rules
-// of SetLinkState, evaluated against the pre-batch snapshots:
+// The per-destination classification is evaluated against the
+// pre-change snapshots, one changed link at a time:
 //
-//   - A restored link (u,v) matters only where w + dist(v) ties (joins
-//     the DAG; distances provably unchanged) or strictly beats (fresh
-//     repair) the cached dist(u). If every restored link's head is
-//     unreachable, no distance can improve: any new path's last restored
-//     arc (x,y) would need a finite old dist(y) to reach the
-//     destination.
-//   - A failed link matters only if it was tight (on the DAG). Distances
-//     survive iff every tight failed link's tail keeps at least one
-//     original tight out-link that survives the batch (alive before, not
-//     failing now). Links joining the DAG in the same batch do not
-//     count: that keeps the test conservative — and exact, because if no
-//     restored link strictly improves, distances cannot decrease, and
-//     the minimal-old-distance affected vertex would have to be a tail
-//     that lost all surviving tight out-links, which the test flags.
+//   - A link whose effective weight drops (a weight decrease, or a
+//     restored link coming back from Inf) matters only where
+//     newEff + dist(head) ties (joins the DAG; distances provably
+//     unchanged) or strictly beats (repair) the cached dist(tail). If
+//     every such link's head is unreachable, no distance can improve:
+//     any new path's last improved arc (x,y) would need a finite old
+//     dist(y) to reach the destination.
+//   - A link whose effective weight rises (a weight increase, or a
+//     failure going to Inf) matters only if it was tight (on the DAG).
+//     Distances survive iff every such link's tail keeps at least one
+//     original tight out-link outside the batch (alive before, not
+//     changing now): any shortest path through the link can be re-routed
+//     at its tail for the same total weight. Links joining the DAG in the
+//     same batch do not count: that keeps the test conservative — and
+//     exact, because if no dropping link strictly improves, distances
+//     cannot decrease, and the minimal-old-distance affected vertex would
+//     have to be a tail that lost all surviving tight out-links, which
+//     the test flags.
 //
 // Everything downstream — load re-summation, linkPass, the Λ ripple —
-// is the ordinary recompute tail, so results stay bit-identical to
-// applying the flips one SetLinkState at a time (in any order).
+// is the ordinary recompute tail, so results stay bit-identical to a
+// from-scratch evaluation, and to applying a batch's flips one at a time
+// (in any order).
 
 import (
+	"math"
+
 	"repro/internal/graph"
+	"repro/internal/obsv"
 	"repro/internal/spf"
 )
 
@@ -43,17 +53,22 @@ type LinkStateChange struct {
 // form of SetLinkState — incrementally re-evaluates, and returns the new
 // Result. Repeated links resolve last-wins; flips already in the desired
 // state are ignored (a batch with no effective flip is a pure no-op,
-// like SetLinkState restating the current state). Like SetLinkState an
-// effective change commits immediately: any pending Apply undo is
-// cleared and the batch cannot itself be reverted. Results are
-// bit-identical to applying the effective flips through SetLinkState one
-// at a time.
+// like SetLinkState restating the current state). An effective change
+// commits immediately: any pending Apply undo is cleared and the batch
+// cannot itself be reverted. Results are bit-identical to applying the
+// effective flips through SetLinkState one at a time. Unlike a weight
+// move, the per-link aggregate pass re-runs even with no affected
+// destinations: link aliveness itself feeds the utilization summary.
 func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 	if !s.inited {
 		panic("routing: Session.SetLinkStates before Init")
 	}
 	if m := met.Get(); m != nil {
-		m.updBatch.Inc()
+		if len(changes) == 1 {
+			m.updLink.Inc()
+		} else {
+			m.updBatch.Inc()
+		}
 	}
 	g := s.e.g
 	if s.mask == nil {
@@ -85,7 +100,7 @@ func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 		}
 		s.lsChanges = append(s.lsChanges, c)
 	}
-	if m := met.Get(); m != nil {
+	if m := met.Get(); m != nil && len(changes) > 1 {
 		m.batchLinks.Observe(float64(len(s.lsChanges)))
 	}
 	if len(s.lsChanges) == 0 {
@@ -110,67 +125,46 @@ func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 		eff = append(eff, c)
 	}
 	s.lsChanges = eff
-	switch len(s.lsChanges) {
-	case 0:
+	if len(s.lsChanges) == 0 {
 		return s.res
-	case 1:
-		// A single effective flip takes the cheaper single-link repair.
-		return s.applyLinkFlip(s.lsChanges[0].Link, s.lsChanges[0].Up)
 	}
 
-	sp := s.beginUpdateSpan("session.link_batch")
-	sp.SetAttr("links", int64(len(s.lsChanges)))
-
-	// Mark the batch's failing links so the classifiers can test whether
-	// a tight out-link survives the batch.
-	if s.lsEpoch == int32(1<<31-1) {
-		clear(s.lsMark)
-		s.lsEpoch = 0
-	}
-	s.lsEpoch++
-	for _, c := range s.lsChanges {
-		if !c.Up {
-			s.lsMark[c.Link] = s.lsEpoch
+	var sp *obsv.Span
+	if len(s.lsChanges) == 1 {
+		c := s.lsChanges[0]
+		sp = s.beginUpdateSpan("session.link")
+		sp.SetAttr("link", int64(c.Link))
+		if c.Up {
+			sp.SetAttr("up", 1)
 		}
+	} else {
+		sp = s.beginUpdateSpan("session.link_batch")
+		sp.SetAttr("links", int64(len(s.lsChanges)))
 	}
 
-	// Classify against the pre-flip snapshots, then commit the flips and
-	// describe the batch in each class's weights for the repairs.
+	// Describe the batch in each class's weights, classify against the
+	// pre-flip snapshots, then commit the flips.
 	csp := sp.Child("session.classify")
-	n := g.NumNodes()
-	s.affD, s.dagD = s.affD[:0], s.dagD[:0]
-	s.affT, s.dagT = s.affT[:0], s.dagT[:0]
-	for t := 0; t < n; t++ {
-		if !s.alive(t) {
-			continue
-		}
-		switch s.classifyDelayBatch(t) {
-		case affectFull:
-			s.affD = append(s.affD, t)
-		case affectDAGOnly:
-			s.dagD = append(s.dagD, t)
-		}
-		switch s.classifyThroughputBatch(t) {
-		case affectFull:
-			s.affT = append(s.affT, t)
-		case affectDAGOnly:
-			s.dagT = append(s.dagT, t)
-		}
-	}
 	s.batchD, s.batchT = s.batchD[:0], s.batchT[:0]
 	for _, c := range s.lsChanges {
 		li := c.Link
+		wd, wt := int64(s.w.Delay[li]), int64(s.w.Throughput[li])
 		if c.Up {
-			s.mask.ReviveLink(li)
-			s.batchD = append(s.batchD, spf.LinkChange{Link: li, OldEff: spf.Inf, NewEff: int64(s.w.Delay[li])})
-			s.batchT = append(s.batchT, spf.LinkChange{Link: li, OldEff: spf.Inf, NewEff: int64(s.w.Throughput[li])})
+			s.batchD = append(s.batchD, spf.LinkChange{Link: li, OldEff: spf.Inf, NewEff: wd})
+			s.batchT = append(s.batchT, spf.LinkChange{Link: li, OldEff: spf.Inf, NewEff: wt})
 		} else {
-			s.mask.FailLink(li)
-			s.batchD = append(s.batchD, spf.LinkChange{Link: li, OldEff: int64(s.w.Delay[li]), NewEff: spf.Inf})
-			s.batchT = append(s.batchT, spf.LinkChange{Link: li, OldEff: int64(s.w.Throughput[li]), NewEff: spf.Inf})
+			s.batchD = append(s.batchD, spf.LinkChange{Link: li, OldEff: wd, NewEff: spf.Inf})
+			s.batchT = append(s.batchT, spf.LinkChange{Link: li, OldEff: wt, NewEff: spf.Inf})
 		}
 	}
-	s.chg.kind, s.chg.link = chgBatch, -1
+	s.classifyDests()
+	for _, c := range s.lsChanges {
+		if c.Up {
+			s.mask.ReviveLink(c.Link)
+		} else {
+			s.mask.FailLink(c.Link)
+		}
+	}
 	csp.End()
 
 	u := &s.undo
@@ -181,96 +175,138 @@ func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 	return s.res
 }
 
-// classifyDelayBatch classifies the whole batch for destination t's
-// delay-class cache: affectFull as soon as any restored link strictly
-// improves or any tight failing link strands its tail, affectDAGOnly if
-// only memberships toggle, affectNone otherwise.
-func (s *Session) classifyDelayBatch(t int) int {
-	dc := &s.dDest[t]
-	dist := dc.state.Dist
-	out := affectNone
-	for _, c := range s.lsChanges {
-		li := c.Link
-		dv := dist[s.linkTo[li]]
-		if dv >= spf.Inf {
-			continue // the link can never lead to this destination
-		}
-		du := dist[s.linkFrom[li]]
-		wl := int64(s.w.Delay[li])
-		if c.Up {
-			switch nd := dv + wl; {
-			case nd < du:
-				return affectFull // strictly shorter: distances change
-			case nd == du:
-				out = affectDAGOnly // joins the DAG at a distance tie
-			}
+// effW is link li's effective weight w under the session's mask: Inf
+// while the link is dead.
+func (s *Session) effW(li int, w int32) int64 {
+	if !s.mask.LinkAlive(li) {
+		return spf.Inf
+	}
+	return int64(w)
+}
+
+// Session-internal affect classification of one destination.
+const (
+	affectNone    = iota // distances and DAG both provably unchanged
+	affectDAGOnly        // distances unchanged; ECMP membership toggles
+	affectFull           // distances can change: SPF repair required
+	affectLeave          // a tight link rose: the class's survival test decides
+)
+
+// classifyDests sorts the alive destinations into affD/dagD (delay
+// class) and affT/dagT (throughput class) for the link changes in
+// batchD/batchT, against the pre-change snapshots, weights and mask.
+func (s *Session) classifyDests() {
+	if s.lsEpoch == math.MaxInt32 {
+		clear(s.lsMark)
+		s.lsEpoch = 0
+	}
+	s.lsEpoch++
+	for _, c := range s.batchD {
+		s.lsMark[c.Link] = s.lsEpoch
+	}
+	n := s.e.g.NumNodes()
+	s.affD, s.dagD = s.affD[:0], s.dagD[:0]
+	s.affT, s.dagT = s.affT[:0], s.dagT[:0]
+	for t := 0; t < n; t++ {
+		if !s.alive(t) {
 			continue
 		}
-		if du != dv+wl {
-			continue // off the DAG: it carried nothing
+		switch s.classifyDelay(t) {
+		case affectFull:
+			s.affD = append(s.affD, t)
+		case affectDAGOnly:
+			s.dagD = append(s.dagD, t)
 		}
-		// Tight failing link: the tail must keep an original tight
-		// out-link that survives the batch. The cached DAG adjacency is
-		// exactly the tail's tight alive out-links.
-		survives := false
-		uu := s.linkFrom[li]
-		for _, lj := range dc.dagLinks[dc.dagOff[uu]:dc.dagOff[uu+1]] {
-			if s.lsMark[lj] != s.lsEpoch {
-				survives = true
-				break
+		switch s.classifyThroughput(t) {
+		case affectFull:
+			s.affT = append(s.affT, t)
+		case affectDAGOnly:
+			s.dagT = append(s.dagT, t)
+		}
+	}
+}
+
+// changeAffect applies the distance tests of one link change to a
+// destination's distances. A rise on a tight link returns affectLeave:
+// whether its tail keeps another tight out-link is the class's call.
+func (s *Session) changeAffect(dist []int64, c spf.LinkChange) int {
+	if c.OldEff == c.NewEff {
+		return affectNone
+	}
+	dv := dist[s.linkTo[c.Link]]
+	if dv >= spf.Inf {
+		return affectNone // the link can never lead to this destination
+	}
+	du := dist[s.linkFrom[c.Link]]
+	if c.NewEff < c.OldEff {
+		switch nd := dv + c.NewEff; {
+		case nd < du:
+			return affectFull // strictly shorter: distances change
+		case nd == du:
+			return affectDAGOnly // joins the DAG at a distance tie
+		}
+		return affectNone
+	}
+	if du != dv+c.OldEff {
+		return affectNone // off the DAG: it carried nothing
+	}
+	return affectLeave
+}
+
+// classifyDelay classifies the delay-class batch for destination t:
+// affectFull as soon as any change can move a distance, affectDAGOnly
+// if only memberships toggle, affectNone otherwise. The cached DAG
+// adjacency is exactly a tail's tight alive out-links, so the survival
+// test scans only those.
+func (s *Session) classifyDelay(t int) int {
+	dc := &s.dDest[t]
+	out := affectNone
+	for _, c := range s.batchD {
+		a := s.changeAffect(dc.state.Dist, c)
+		if a == affectLeave {
+			a = affectFull
+			u := s.linkFrom[c.Link]
+			for _, lj := range dc.dagLinks[dc.dagOff[u]:dc.dagOff[u+1]] {
+				if s.lsMark[lj] != s.lsEpoch {
+					a = affectDAGOnly
+					break
+				}
 			}
 		}
-		if !survives {
+		if a == affectFull {
 			return affectFull
 		}
-		out = affectDAGOnly
+		out = max(out, a)
 	}
 	return out
 }
 
-// classifyThroughputBatch is classifyDelayBatch for the throughput
-// class; with no cached adjacency the survival test scans the tail's
-// out-links.
-func (s *Session) classifyThroughputBatch(t int) int {
-	st := &s.tStates[t]
-	dist := st.Dist
+// classifyThroughput is classifyDelay for the throughput class; with no
+// cached adjacency the survival test scans the tail's out-links — the
+// O(degree) bound of the affected test.
+func (s *Session) classifyThroughput(t int) int {
+	dist := s.tStates[t].Dist
 	out := affectNone
-	for _, c := range s.lsChanges {
-		li := c.Link
-		dv := dist[s.linkTo[li]]
-		if dv >= spf.Inf {
-			continue
-		}
-		du := dist[s.linkFrom[li]]
-		wl := int64(s.w.Throughput[li])
-		if c.Up {
-			switch nd := dv + wl; {
-			case nd < du:
-				return affectFull
-			case nd == du:
-				out = affectDAGOnly
-			}
-			continue
-		}
-		if du != dv+wl {
-			continue
-		}
-		survives := false
-		uu := s.linkFrom[li]
-		for _, lj := range s.e.g.OutLinks(int(uu)) {
-			if s.lsMark[lj] == s.lsEpoch || !s.mask.LinkAlive(int(lj)) {
-				continue
-			}
-			dvj := dist[s.linkTo[lj]]
-			if dvj < spf.Inf && du == dvj+int64(s.w.Throughput[lj]) {
-				survives = true
-				break
+	for _, c := range s.batchT {
+		a := s.changeAffect(dist, c)
+		if a == affectLeave {
+			a = affectFull
+			u := s.linkFrom[c.Link]
+			du := dist[u]
+			for _, lj := range s.e.g.OutLinks(int(u)) {
+				if s.lsMark[lj] == s.lsEpoch || !s.mask.LinkAlive(int(lj)) {
+					continue
+				}
+				if dvj := dist[s.linkTo[lj]]; dvj < spf.Inf && du == dvj+int64(s.w.Throughput[lj]) {
+					a = affectDAGOnly
+					break
+				}
 			}
 		}
-		if !survives {
+		if a == affectFull {
 			return affectFull
 		}
-		out = affectDAGOnly
+		out = max(out, a)
 	}
 	return out
 }

@@ -22,14 +22,15 @@ import (
 // membership-only changes refresh the DAG and ECMP split without
 // touching distances), and even those destinations are not re-solved
 // from scratch: their snapshots are repaired in place (Ramalingam–Reps
-// incremental SPF, spf.State.Repair), revisiting only the vertices
-// whose distance actually moved. Apply then folds the new contributions
-// into the link loads and re-runs the delay DP only for destinations
-// whose DAG changed or crosses a link whose delay value moved. Revert
-// undoes the last Apply exactly. Demand updates (SetDemands,
-// ApplyDemandDelta; see demand.go) never touch shortest-path state at
-// all: weights are unchanged, so only the destination columns whose
-// demands moved recompute their load contributions and Λ subtotals.
+// incremental SPF, spf.State.RepairBatch with a batch of one),
+// revisiting only the vertices whose distance actually moved. Apply then
+// folds the new contributions into the link loads and re-runs the delay
+// DP only for destinations whose DAG changed or crosses a link whose
+// delay value moved. Revert undoes the last Apply exactly. Demand
+// updates (SetDemands, ApplyDemandDelta; see demand.go) never touch
+// shortest-path state at all: weights are unchanged, so only the
+// destination columns whose demands moved recompute their load
+// contributions and Λ subtotals.
 // Full Dijkstras remain only where no pre-change snapshot exists: Init
 // and the dense-demand-update fallback rebase.
 //
@@ -106,11 +107,18 @@ type Session struct {
 	parGo    func() // parBody pre-bound once, so spawns allocate nothing
 	resumAll bool   // region 2 re-sums every link (dense demand path)
 
-	// Batched link events (SetLinkStates; see linkbatch.go).
+	// Link changes (see linkbatch.go). batchD and batchT describe the
+	// link event driving the current recompute in each class's effective
+	// weights — one entry for an Apply weight move, one per effective flip
+	// for SetLinkStates — so the classifiers can test it against the
+	// pre-change snapshots and Dijkstra-required destinations can repair
+	// them (spf.State.RepairBatch) instead of re-running Dijkstra. Init
+	// rebases from scratch and demand updates classify every touched
+	// destination as DAG-only, so neither reads them.
 	lsChanges      []LinkStateChange // effective flips, deduplicated
-	lsMark         []int32           // this epoch: link goes down in the batch
+	lsMark         []int32           // this epoch: link is in the batch
 	lsEpoch        int32
-	batchD, batchT []spf.LinkChange // the batch in each class's weights
+	batchD, batchT []spf.LinkChange
 
 	// Dense demand path (see demand.go): when a demand update moves more
 	// than denseFrac of the 2n columns, changed columns refresh in place
@@ -134,33 +142,13 @@ type Session struct {
 	freeContrib [][]float64
 	canRevert   bool
 	inited      bool
-
-	// chg describes the link event driving the current recompute, so
-	// Dijkstra-required destinations can repair their snapshots
-	// (spf.State.Repair / Workspace.RepairLink* / State.RepairBatch)
-	// instead of re-running Dijkstra. Init rebases from scratch and
-	// demand updates classify every touched destination as DAG-only, so
-	// neither sets it. chgBatch takes the link set from batchD/batchT.
-	chg struct {
-		kind       int // chgWeight, chgLinkDown, chgLinkUp, chgBatch
-		link       int
-		oldD, oldT int32 // pre-move class weights (chgWeight only)
-	}
 }
-
-// Kinds of link change a recompute can repair from.
-const (
-	chgWeight = iota
-	chgLinkDown
-	chgLinkUp
-	chgBatch
-)
 
 // delayDest is one destination's delay-class cache: the SPF snapshot plus
 // the materialized ECMP DAG out-adjacency (dagLinks[dagOff[u]:dagOff[u+1]]
 // lists node u's on-DAG out-links in adjacency order). The adjacency is
 // valid exactly as long as the snapshot is — DAG membership of every link
-// is invariant for destinations AffectedBy reports untouched — and lets
+// is invariant for destinations the classifier reports untouched — and lets
 // the delay DP skip the per-out-link membership recomputation that
 // dominates its cost.
 type delayDest struct {
@@ -386,31 +374,14 @@ func (s *Session) Apply(l int, wd, wt int32) Result {
 	}
 	sp := s.beginUpdateSpan("session.weight")
 	sp.SetAttr("link", int64(l))
-	n := s.e.g.NumNodes()
 	s.recycleUndo()
 	u := &s.undo
 
 	oldD, oldT := s.w.Delay[l], s.w.Throughput[l]
 	csp := sp.Child("session.classify")
-	s.affD, s.dagD = s.affD[:0], s.dagD[:0]
-	s.affT, s.dagT = s.affT[:0], s.dagT[:0]
-	for t := 0; t < n; t++ {
-		if !s.alive(t) {
-			continue
-		}
-		switch s.classifyDelay(t, l, oldD, wd) {
-		case affectFull:
-			s.affD = append(s.affD, t)
-		case affectDAGOnly:
-			s.dagD = append(s.dagD, t)
-		}
-		switch s.classifyThroughput(t, l, oldT, wt) {
-		case affectFull:
-			s.affT = append(s.affT, t)
-		case affectDAGOnly:
-			s.dagT = append(s.dagT, t)
-		}
-	}
+	s.batchD = append(s.batchD[:0], spf.LinkChange{Link: l, OldEff: s.effW(l, oldD), NewEff: s.effW(l, wd)})
+	s.batchT = append(s.batchT[:0], spf.LinkChange{Link: l, OldEff: s.effW(l, oldT), NewEff: s.effW(l, wt)})
+	s.classifyDests()
 	csp.End()
 
 	u.link, u.prevD, u.prevT = l, oldD, oldT
@@ -418,7 +389,6 @@ func (s *Session) Apply(l int, wd, wt int32) Result {
 	u.droppedT = s.droppedT
 	s.w.Set(l, wd, wt)
 	s.canRevert = true
-	s.chg.kind, s.chg.link, s.chg.oldD, s.chg.oldT = chgWeight, l, oldD, oldT
 
 	if len(s.affD)+len(s.dagD) == 0 && len(s.affT)+len(s.dagT) == 0 {
 		// No destination's routing can change in either class, so loads,
@@ -438,7 +408,7 @@ func (s *Session) Apply(l int, wd, wt int32) Result {
 // each class have been classified into s.affD/s.dagD (delay: fresh
 // Dijkstra vs DAG-only refresh) and s.affT/s.dagT (throughput), stashing
 // everything it overwrites into u so Revert can restore it. It is the
-// shared tail of Apply (weight moves) and SetLinkState (topology moves);
+// shared tail of Apply (weight moves) and SetLinkStates (topology moves);
 // the caller must already have committed the triggering change (weights
 // or mask) to the session.
 func (s *Session) recompute(u *undoState) {
@@ -515,12 +485,11 @@ func (s *Session) recompute(u *undoState) {
 	}
 
 	// Region 1: refresh the affected destinations. Dijkstra-required
-	// recomputes repair the pre-change snapshot (Ramalingam–Reps; see
-	// spf/repair.go and spf/batch.go for the multi-link form);
-	// membership-only ones keep the (provably unchanged) distances and
-	// just refresh the DAG and the ECMP load split. Each task touches
-	// only its destination's slots; changed-link candidates go to
-	// per-worker lists.
+	// recomputes repair the pre-change snapshot with spf.RepairBatch
+	// (Ramalingam–Reps; see spf/batch.go); membership-only ones keep the
+	// (provably unchanged) distances and just refresh the DAG and the
+	// ECMP load split. Each task touches only its destination's slots;
+	// changed-link candidates go to per-worker lists.
 	s.beginPar()
 	root := s.spRoot
 	var spfBase spf.RepairStats
@@ -710,171 +679,12 @@ func (s *Session) Revert() {
 // (up=true), incrementally re-evaluates the session under the changed
 // failure state, and returns the new Result — the topology half of an
 // online telemetry stream (the other half, demand updates, is
-// SetDemands). The change commits immediately: it clears any pending
-// Apply undo and cannot itself be reverted. Results are bit-identical
-// to a from-scratch evaluation under the updated mask.
-//
-// Affected-destination classification mirrors the weight-move tests as
-// their infinite-weight limits. Failing a link can only matter to
-// destinations that have it on their ECMP DAG (a non-tight link carries
-// nothing and only gets less attractive); distances survive — a
-// DAG-only refresh — iff the link's tail keeps at least one other tight
-// successor. Restoring a link (u,v) with weight w can only matter where
-// w + dist(v) ties (joins the DAG, distances unchanged) or beats
-// (fresh Dijkstra) the cached dist(u): any new path runs through the
-// restored arc, so dist(v) bounds what it can offer. Unlike a weight
-// move, the per-link aggregate pass re-runs even with no affected
-// destinations: link aliveness itself feeds the utilization summary.
+// SetDemands). It is SetLinkStates with a batch of one: the change
+// commits immediately, clears any pending Apply undo and cannot itself
+// be reverted, and results are bit-identical to a from-scratch
+// evaluation under the updated mask.
 func (s *Session) SetLinkState(li int, up bool) Result {
-	if !s.inited {
-		panic("routing: Session.SetLinkState before Init")
-	}
-	if m := met.Get(); m != nil {
-		m.updLink.Inc()
-	}
-	g := s.e.g
-	if s.mask == nil {
-		if up {
-			return s.res // an absent mask means everything is already up
-		}
-		s.mask = graph.NewMask(g)
-	}
-	if up == !s.mask.LinkFailed(li) {
-		return s.res // already in the desired state
-	}
-	s.recycleUndo()
-	s.canRevert = false
-	s.undo.noop = false
-
-	// A link whose endpoint node is down is dead either way: flipping its
-	// own bit changes nothing observable.
-	if !s.mask.NodeAlive(int(s.linkFrom[li])) || !s.mask.NodeAlive(int(s.linkTo[li])) {
-		if up {
-			s.mask.ReviveLink(li)
-		} else {
-			s.mask.FailLink(li)
-		}
-		return s.res
-	}
-	return s.applyLinkFlip(li, up)
-}
-
-// applyLinkFlip is the shared evaluation tail of SetLinkState and a
-// single-flip SetLinkStates batch: classify against the pre-flip
-// snapshots, commit the flip, recompute. The caller has already cleared
-// the undo state and ruled out no-ops and dead-endpoint flips.
-func (s *Session) applyLinkFlip(li int, up bool) Result {
-	sp := s.beginUpdateSpan("session.link")
-	sp.SetAttr("link", int64(li))
-	if up {
-		sp.SetAttr("up", 1)
-	}
-	u := &s.undo
-	n := s.e.g.NumNodes()
-	csp := sp.Child("session.classify")
-	s.affD, s.dagD = s.affD[:0], s.dagD[:0]
-	s.affT, s.dagT = s.affT[:0], s.dagT[:0]
-	for t := 0; t < n; t++ {
-		if !s.alive(t) {
-			continue
-		}
-		switch s.classifyDelayLinkState(t, li, up) {
-		case affectFull:
-			s.affD = append(s.affD, t)
-		case affectDAGOnly:
-			s.dagD = append(s.dagD, t)
-		}
-		switch s.classifyThroughputLinkState(t, li, up) {
-		case affectFull:
-			s.affT = append(s.affT, t)
-		case affectDAGOnly:
-			s.dagT = append(s.dagT, t)
-		}
-	}
-	csp.End()
-	if up {
-		s.mask.ReviveLink(li)
-		s.chg.kind = chgLinkUp
-	} else {
-		s.mask.FailLink(li)
-		s.chg.kind = chgLinkDown
-	}
-	s.chg.link = li
-	u.res = s.res
-	u.droppedT = s.droppedT
-	s.recompute(u)
-	s.endUpdateSpan(sp)
-	return s.res
-}
-
-// classifyDelayLinkState classifies failing (up=false) or restoring
-// (up=true) link li for destination t's delay-class cache: the
-// newW → ∞ respectively ∞ → w limits of classifyDelay. The caller has
-// already established that the link's own state actually flips and that
-// both endpoints are alive.
-func (s *Session) classifyDelayLinkState(t, li int, up bool) int {
-	dc := &s.dDest[t]
-	dist := dc.state.Dist
-	dv := dist[s.linkTo[li]]
-	if dv >= spf.Inf {
-		return affectNone // the link can never lead to this destination
-	}
-	du := dist[s.linkFrom[li]]
-	if up {
-		switch nd := dv + int64(s.w.Delay[li]); {
-		case nd > du:
-			return affectNone
-		case nd == du:
-			return affectDAGOnly // joins the DAG at a distance tie
-		default:
-			return affectFull // strictly shorter: distances change
-		}
-	}
-	if du != dv+int64(s.w.Delay[li]) {
-		return affectNone // off the DAG: it carried nothing
-	}
-	// On the DAG; the cached adjacency gives the tail's ECMP out-degree.
-	if u := s.linkFrom[li]; dc.dagOff[u+1]-dc.dagOff[u] >= 2 {
-		return affectDAGOnly
-	}
-	return affectFull
-}
-
-// classifyThroughputLinkState is classifyDelayLinkState for the
-// throughput class; with no cached adjacency the leave-DAG case counts
-// the tail's tight successors by scanning its out-links.
-func (s *Session) classifyThroughputLinkState(t, li int, up bool) int {
-	st := &s.tStates[t]
-	dist := st.Dist
-	dv := dist[s.linkTo[li]]
-	if dv >= spf.Inf {
-		return affectNone
-	}
-	du := dist[s.linkFrom[li]]
-	if up {
-		switch nd := dv + int64(s.w.Throughput[li]); {
-		case nd > du:
-			return affectNone
-		case nd == du:
-			return affectDAGOnly
-		default:
-			return affectFull
-		}
-	}
-	if du != dv+int64(s.w.Throughput[li]) {
-		return affectNone
-	}
-	u := s.linkFrom[li]
-	k := 0
-	for _, lj := range s.e.g.OutLinks(int(u)) {
-		dvj := dist[s.linkTo[lj]]
-		if dvj < spf.Inf && du == dvj+int64(s.w.Throughput[lj]) && s.mask.LinkAlive(int(lj)) {
-			if k++; k >= 2 {
-				return affectDAGOnly
-			}
-		}
-	}
-	return affectFull
+	return s.SetLinkStates([]LinkStateChange{{Link: li, Up: up}})
 }
 
 // Mask returns the session's failure mask (nil = intact topology). It is
@@ -927,70 +737,6 @@ func (s *Session) newDest() delayDest {
 		return d
 	}
 	return delayDest{}
-}
-
-// Session-internal affect classification, spf.State.Classify with the
-// AffectLeaveDAG case resolved.
-const (
-	affectNone    = iota // distances and DAG both provably unchanged
-	affectDAGOnly        // distances unchanged; ECMP membership toggles
-	affectFull           // distances can change: fresh Dijkstra required
-)
-
-// classifyDelay classifies a weight change on link li for destination t's
-// delay-class cache (spf.State.Classify holds the distance arithmetic).
-// The membership-only cases — a decrease landing exactly on a distance
-// tie (the link joins the DAG), or an increase on a DAG link whose tail
-// keeps at least one other tight successor (the link leaves it) —
-// provably preserve every node's distance: any shortest path through the
-// link can be re-routed at its tail for the same total weight. They skip
-// Dijkstra and only refresh the DAG and load split.
-func (s *Session) classifyDelay(t, li int, oldW, newW int32) int {
-	dc := &s.dDest[t]
-	switch dc.state.Classify(s.e.g, li, oldW, newW, s.mask) {
-	case spf.AffectNone:
-		return affectNone
-	case spf.AffectJoinDAG:
-		return affectDAGOnly
-	case spf.AffectLeaveDAG:
-		// The cached adjacency gives the tail's ECMP out-degree in O(1).
-		u := s.linkFrom[li]
-		if dc.dagOff[u+1]-dc.dagOff[u] >= 2 {
-			return affectDAGOnly
-		}
-		return affectFull
-	default:
-		return affectFull
-	}
-}
-
-// classifyThroughput is classifyDelay for the throughput class. With no
-// cached adjacency, the leave-DAG case counts the tail's tight successors
-// by scanning its out-links — the O(degree) bound of the affected test.
-func (s *Session) classifyThroughput(t, li int, oldW, newW int32) int {
-	st := &s.tStates[t]
-	switch st.Classify(s.e.g, li, oldW, newW, s.mask) {
-	case spf.AffectNone:
-		return affectNone
-	case spf.AffectJoinDAG:
-		return affectDAGOnly
-	case spf.AffectLeaveDAG:
-		dist := st.Dist
-		u := s.linkFrom[li]
-		du := dist[u]
-		k := 0
-		for _, lj := range s.e.g.OutLinks(int(u)) {
-			dvj := dist[s.linkTo[lj]]
-			if dvj < spf.Inf && du == dvj+int64(s.w.Throughput[lj]) && s.mask.LinkAlive(int(lj)) {
-				if k++; k >= 2 {
-					return affectDAGOnly
-				}
-			}
-		}
-		return affectFull
-	default:
-		return affectFull
-	}
 }
 
 // accumulateDelayLoads is spf's AccumulateLoadsInto over the cached DAG

@@ -1,35 +1,75 @@
 package spf
 
-// Multi-link batch repair: apply a set of simultaneous link changes
-// (an SRLG trip, a maintenance window, a batched weight move) to one
-// cached SPF in a single pass, instead of one classify/repair/merge
-// round per link.
+// Dynamic shortest-path repair in the style of Ramalingam–Reps: after a
+// set of simultaneous link changes, update the cached reverse SPF of one
+// destination by recomputing only the vertices whose distance actually
+// changes, instead of re-running Dijkstra from scratch. A single weight
+// move or link flip is a batch of one; an SRLG trip, a maintenance window
+// or a batched weight move is a larger batch. Every change is described
+// by its effective weights (LinkChange), so a weight move, a failure and
+// a restoration go through the same code.
+//
+// Invariants the repair maintains — the same three every consumer of a
+// Run's outputs relies on:
+//
+//  1. dist[v] is the exact shortest distance from v to the destination
+//     over alive links under the current weights (Inf if unreachable).
+//  2. order lists exactly the reachable vertices in ascending distance.
+//     Equal-distance vertices may appear in any relative order: weights
+//     are >= 1, so no shortest-path DAG edge connects a distance tie,
+//     and every downstream pass (the pull-based load accumulation, the
+//     delay DPs) is a function of the distances alone. A repaired order
+//     therefore yields bit-identical loads and delays to a fresh Run's
+//     order even though the two orders may permute ties differently.
+//  3. DAG membership is derived, never stored: link (u,v) is on the DAG
+//     iff dist[u] == w(u,v) + dist[v] and the link is alive. Repairing
+//     distances repairs membership for free.
 //
 // The batch is decomposed through an intermediate "mid" state in which
 // every changed link carries max(oldEff, newEff):
 //
-//   - Phase I (increases): going old -> mid only raises weights, so the
-//     single-link increase machinery of repair.go generalizes by
-//     multi-seeding Phase A with the tails of every tight increased
-//     link, keyed by old distance. An increased link itself can never
-//     satisfy the surviving-tight-out-link test (old distances obey
-//     dist[tail] <= dist[head]+oldEff < dist[head]+midEff), so the
-//     one-pass affected-set property is preserved verbatim. Links whose
-//     weight decreased keep their OLD weight at mid (an epoch-marked
-//     per-link override), and links coming back up stay dead at mid (a
-//     second mark), which is what makes the mid state well defined.
-//   - Phase II (decreases): going mid -> new only lowers weights, so a
-//     multi-source seeded Dijkstra (the decrease path of repair.go with
-//     one seed per improving link) finishes the job under the true new
-//     weights and mask. Composite improvements — a tail whose candidate
-//     drops further when another decreased link lowers its head —
+//   - Phase I (increases, including failures): going old -> mid only
+//     raises weights, so distances can only grow, and only for vertices
+//     all of whose shortest paths crossed a raised link. Links that were
+//     not tight (dist[tail] != oldEff + dist[head]) carried no shortest
+//     path and are ignored.
+//     Phase A identifies the affected set with a min-heap keyed by OLD
+//     distance, seeded with the tail of every tight raised link. A
+//     popped candidate is affected iff it has no alive tight out-link to
+//     an unaffected vertex; each newly affected vertex enqueues its tight
+//     in-neighbors. Tight links strictly decrease distance, so candidates
+//     pop in ascending old distance and every vertex's smaller-distance
+//     tight successors have final membership when it is tested — the
+//     property the one-pass test depends on. A raised link itself can
+//     never pass the surviving-tight-out-link test (old distances obey
+//     dist[tail] <= dist[head]+oldEff < dist[head]+midEff).
+//     Phase B sets the affected distances to Inf, computes each affected
+//     vertex's best candidate through unaffected neighbors, and runs a
+//     Dijkstra restricted to the affected set. Vertices left at Inf are
+//     the ones the batch disconnected.
+//     Links whose weight decreased keep their OLD weight at mid (an
+//     epoch-marked per-link override), and links coming back up stay
+//     dead at mid (a second mark), which is what makes the mid state well
+//     defined. A batch with no decrease and no restoration has no
+//     overrides, and the phase skips the mark lookups.
+//   - Phase II (decreases, including restorations): going mid -> new only
+//     lowers weights, so the only distances that can improve are those
+//     with a new shortest path through a lowered link. A multi-source
+//     Dijkstra seeded at every tail whose candidate newEff + dist[head]
+//     beats its distance propagates the improvement through in-links
+//     under the true new weights and mask; visited vertices are exactly
+//     those whose distance drops. Composite improvements — a tail whose
+//     candidate drops further when another lowered link lowers its head —
 //     propagate through the ordinary relaxation loop.
 //
-// Each phase finishes with the same O(n) settled-order merge as a
-// single-link repair, so invariants (1)-(3) of repair.go hold at the
+// Each phase finishes by merging the changed vertices (collected in
+// settle order, i.e. ascending new distance) into the untouched remainder
+// of the old order (mergeOrder) — O(n) with a tiny constant, against the
+// O((n+m) log n) Dijkstra it replaces — so the invariants hold at the
 // mid state and again at the final state. Distances are exact at every
 // phase boundary; only order ties may permute, which no consumer
-// observes.
+// observes. Callers fall back to a full Run only where no pre-change
+// snapshot exists (session Init, demand rebases).
 
 import (
 	"math"
@@ -53,6 +93,10 @@ type LinkChange struct {
 // whether any distance changed; when it returns false, distances and
 // order are untouched (DAG membership may still have changed, which is
 // derived state).
+//
+// A batch of one counts under the path it takes (increase, decrease, or
+// noop when it cannot move a distance); a multi-link batch counts as
+// batch.
 func (ws *Workspace) RepairBatch(g *graph.Graph, w []int32, changes []LinkChange, mask *graph.Mask) bool {
 	if g != ws.g {
 		panic("spf: Workspace used with a graph other than the one it was created for")
@@ -84,17 +128,38 @@ func (ws *Workspace) RepairBatch(g *graph.Graph, w []int32, changes []LinkChange
 		}
 		kept++
 	}
-	ws.stats.Batch++
-	if m != nil {
-		m.repairBatch.Inc()
-		m.batchLinks.Observe(float64(kept))
+	switch {
+	case len(changes) > 1:
+		ws.stats.Batch++
+		if m != nil {
+			m.repairBatch.Inc()
+			m.batchLinks.Observe(float64(kept))
+		}
+	case kept == 0 || ws.dist[ws.lto[changes[0].Link]] >= Inf:
+		// No effective change, or the link leads nowhere near this
+		// destination (including a dead destination, all distances Inf).
+		ws.stats.Noop++
+		if m != nil {
+			m.repairNoop.Inc()
+		}
+		return false
+	case dec:
+		ws.stats.Decrease++
+		if m != nil {
+			m.repairDecrease.Inc()
+		}
+	default:
+		ws.stats.Increase++
+		if m != nil {
+			m.repairIncrease.Inc()
+		}
 	}
 	if kept == 0 {
 		return false
 	}
 	changed := false
 	if inc {
-		if ws.batchIncrease(g, w, changes, mask, bep) {
+		if ws.batchIncrease(g, w, changes, mask, bep, dec) {
 			changed = true
 			ws.stats.ChangedNodes += len(ws.affList)
 			if m != nil {
@@ -114,19 +179,27 @@ func (ws *Workspace) RepairBatch(g *graph.Graph, w []int32, changes []LinkChange
 	return changed
 }
 
-// midW is link lj's effective weight at the batch's mid state.
-func (ws *Workspace) midW(lj int32, w []int32, bep int32) int64 {
-	if ws.batchOldMark[lj] == bep {
+// midW is link lj's effective weight at the batch's mid state; over
+// reports whether the batch set any per-link override.
+func (ws *Workspace) midW(lj int32, w []int32, bep int32, over bool) int64 {
+	if over && ws.batchOldMark[lj] == bep {
 		return ws.batchOld[lj]
 	}
 	return int64(w[lj])
 }
 
+// midDead reports whether alive link lj is a restored link, dead at the
+// batch's mid state.
+func (ws *Workspace) midDead(lj int32, bep int32, over bool) bool {
+	return over && ws.batchUpMark[lj] == bep
+}
+
 // batchIncrease moves the distances from the old state to the mid state
 // (every increased or failed link at its raised weight) with one
 // multi-seeded increase repair. Decreased links read their old weight
-// and restored links stay dead, so only raises are in effect.
-func (ws *Workspace) batchIncrease(g *graph.Graph, w []int32, changes []LinkChange, mask *graph.Mask, bep int32) bool {
+// and restored links stay dead, so only raises are in effect; over is
+// false when the batch has neither, and the override marks go unread.
+func (ws *Workspace) batchIncrease(g *graph.Graph, w []int32, changes []LinkChange, mask *graph.Mask, bep int32, over bool) bool {
 	// Phase A: identify the affected set in ascending old-distance order,
 	// seeded with the tail of every tight increased link.
 	epoch := ws.nextRepairEpoch()
@@ -155,14 +228,14 @@ func (ws *Workspace) batchIncrease(g *graph.Graph, w []int32, changes []LinkChan
 		dx := ws.dist[x]
 		hasAlt := false
 		for _, lj := range g.OutLinks(int(x)) {
-			if !mask.LinkAlive(int(lj)) || ws.batchUpMark[lj] == bep {
+			if !mask.LinkAlive(int(lj)) || ws.midDead(lj, bep, over) {
 				continue
 			}
 			z := ws.lto[lj]
 			if ws.aMark[z] == epoch {
 				continue
 			}
-			if dz := ws.dist[z]; dz < Inf && dx == dz+ws.midW(lj, w, bep) {
+			if dz := ws.dist[z]; dz < Inf && dx == dz+ws.midW(lj, w, bep, over) {
 				hasAlt = true // a surviving tight out-link: distance holds
 				break
 			}
@@ -173,14 +246,14 @@ func (ws *Workspace) batchIncrease(g *graph.Graph, w []int32, changes []LinkChan
 		ws.aMark[x] = epoch
 		ws.affList = append(ws.affList, x)
 		for _, lj := range g.InLinks(int(x)) {
-			if !mask.LinkAlive(int(lj)) || ws.batchUpMark[lj] == bep {
+			if !mask.LinkAlive(int(lj)) || ws.midDead(lj, bep, over) {
 				continue
 			}
 			y := ws.lfrom[lj]
 			if ws.qMark[y] == epoch || ws.aMark[y] == epoch {
 				continue
 			}
-			if dy := ws.dist[y]; dy < Inf && dy == dx+ws.midW(lj, w, bep) {
+			if dy := ws.dist[y]; dy < Inf && dy == dx+ws.midW(lj, w, bep, over) {
 				ws.qMark[y] = epoch
 				ws.heapPush(heapEntry{dy, y})
 			}
@@ -201,14 +274,14 @@ func (ws *Workspace) batchIncrease(g *graph.Graph, w []int32, changes []LinkChan
 	for _, x := range ws.affList {
 		best := Inf
 		for _, lj := range g.OutLinks(int(x)) {
-			if !mask.LinkAlive(int(lj)) || ws.batchUpMark[lj] == bep {
+			if !mask.LinkAlive(int(lj)) || ws.midDead(lj, bep, over) {
 				continue
 			}
 			dz := ws.dist[ws.lto[lj]] // affected neighbors sit at Inf and drop out
 			if dz >= Inf {
 				continue
 			}
-			if c := dz + ws.midW(lj, w, bep); c < best {
+			if c := dz + ws.midW(lj, w, bep, over); c < best {
 				best = c
 			}
 		}
@@ -227,19 +300,21 @@ func (ws *Workspace) batchIncrease(g *graph.Graph, w []int32, changes []LinkChan
 		ws.dist[x] = e.dist
 		ws.chgSorted = append(ws.chgSorted, x)
 		for _, lj := range g.InLinks(int(x)) {
-			if !mask.LinkAlive(int(lj)) || ws.batchUpMark[lj] == bep {
+			if !mask.LinkAlive(int(lj)) || ws.midDead(lj, bep, over) {
 				continue
 			}
 			y := ws.lfrom[lj]
 			if ws.aMark[y] != epoch || ws.dist[y] < Inf {
 				continue
 			}
-			if c := e.dist + ws.midW(lj, w, bep); c < ws.cand[y] {
+			if c := e.dist + ws.midW(lj, w, bep, over); c < ws.cand[y] {
 				ws.cand[y] = c
 				ws.heapPush(heapEntry{c, y})
 			}
 		}
 	}
+	// Affected vertices still at Inf were disconnected by the batch;
+	// mergeOrder drops them from the settled order.
 	ws.mergeOrder(epoch)
 	return true
 }
@@ -307,9 +382,10 @@ func (ws *Workspace) nextBatchEpoch() int32 {
 }
 
 // RepairBatch applies a set of simultaneous link changes to this
-// snapshot in place, using ws for scratch: the batch analogue of
-// State.Repair/RepairLink. w and mask must already reflect the new
-// weights and topology. Reports whether any distance changed.
+// snapshot in place, using ws for scratch, without the Restore/Save
+// round trip; the workspace's own last-Run outputs are preserved. w and
+// mask must already reflect the new weights and topology. Reports
+// whether any distance changed.
 func (s *State) RepairBatch(ws *Workspace, g *graph.Graph, w []int32, changes []LinkChange, mask *graph.Mask) bool {
 	return s.repairSwapped(ws, func() bool {
 		return ws.RepairBatch(g, w, changes, mask)

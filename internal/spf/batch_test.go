@@ -272,3 +272,48 @@ func TestRepairBatchSRLG(t *testing.T) {
 		requireSameSPF(t, "srlg restore", g, w, mask, ws, fresh)
 	}
 }
+
+// TestRepairBatchStatsPaths: a batch of one counts under the path it
+// takes — increase, decrease, or noop when it cannot move a distance —
+// and only a multi-link batch counts as batch.
+func TestRepairBatchStatsPaths(t *testing.T) {
+	g := diamond()
+	w := equalWeights(g, 1)
+	m := graph.NewMask(g)
+	ws := NewWorkspace(g)
+	ws.Run(g, w, 3, m)
+
+	step := func(name string, changes []LinkChange, want RepairStats) {
+		t.Helper()
+		before := ws.Stats()
+		ws.RepairBatch(g, w, changes, m)
+		got := ws.Stats().Sub(before)
+		got.ChangedNodes = 0
+		if got != want {
+			t.Fatalf("%s: stats delta %+v, want %+v", name, got, want)
+		}
+	}
+	w[0] = 4
+	step("raise", []LinkChange{{Link: 0, OldEff: 1, NewEff: 4}}, RepairStats{Increase: 1})
+	w[0] = 1
+	step("lower", []LinkChange{{Link: 0, OldEff: 4, NewEff: 1}}, RepairStats{Decrease: 1})
+	m.FailLink(2)
+	step("fail", []LinkChange{{Link: 2, OldEff: 1, NewEff: Inf}}, RepairStats{Increase: 1})
+	m.ReviveLink(2)
+	step("restore", []LinkChange{{Link: 2, OldEff: Inf, NewEff: 1}}, RepairStats{Decrease: 1})
+	step("same weight", []LinkChange{{Link: 0, OldEff: 1, NewEff: 1}}, RepairStats{Noop: 1})
+	w[0] = 4
+	w[2] = 4
+	step("batch", []LinkChange{
+		{Link: 0, OldEff: 1, NewEff: 4},
+		{Link: 2, OldEff: 1, NewEff: 4},
+	}, RepairStats{Batch: 1})
+
+	// Cut node 0 off, then raise link 1 (1->0): its head cannot reach
+	// the destination, so the move is a noop.
+	m.FailLink(0)
+	m.FailLink(2)
+	ws.Run(g, w, 3, m)
+	w[1] = 9
+	step("unreachable head", []LinkChange{{Link: 1, OldEff: 1, NewEff: 9}}, RepairStats{Noop: 1})
+}

@@ -3,7 +3,7 @@
 // the resulting shortest-path DAG, all-to-one traffic accumulation with
 // even splitting (the standard OSPF/Fortz–Thorup model), per-source
 // worst/mean path-delay dynamic programs over the DAG, and dynamic
-// shortest-path repair for single-link events.
+// shortest-path repair for link events.
 //
 // All entry points operate through a reusable Workspace so that hot loops
 // (thousands of evaluations per optimization run) allocate nothing. A
@@ -18,19 +18,21 @@
 //     are a function of the distances alone, independent of the order in
 //     which Dijkstra settled equal-distance nodes, so a snapshot and a
 //     fresh run produce bit-identical floats (AccumulateLoadsInto).
-//   - Single-link changes are classified in O(1) against a snapshot
-//     (State.Classify): provably-unchanged destinations are skipped
-//     outright, membership-only changes refresh the DAG without touching
+//   - Link changes are classified against a snapshot with a few
+//     distance comparisons per changed link (routing.Session's
+//     classifier): provably-unchanged destinations are skipped outright,
+//     membership-only changes refresh the DAG without touching
 //     distances, and only genuine distance changes need shortest-path
 //     work.
 //
 // For that last class, the package provides Ramalingam–Reps-style repair
-// (State.Repair, Workspace.Repair/RepairLinkDown/RepairLinkUp): the
-// standing SPF is updated by recomputing only the vertices whose distance
-// actually changes, which on large topologies is a small set for almost
-// every link event. The repair's invariants — exact distances, a valid
-// ascending settled order modulo ties, derived DAG membership — are
-// documented in repair.go; DESIGN.md ("Incremental SPF repair") explains
-// how they compose with the session caches and when callers fall back to
-// a full Dijkstra.
+// (Workspace.RepairBatch, State.RepairBatch): the standing SPF is updated
+// by recomputing only the vertices whose distance actually changes,
+// which on large topologies is a small set for almost every link event.
+// A LinkChange describes a weight move, a failure or a restoration by
+// its effective weights, and a single change is a batch of one. The
+// repair's invariants — exact distances, a valid ascending settled order
+// modulo ties, derived DAG membership — are documented in batch.go;
+// DESIGN.md ("Incremental SPF repair") explains how they compose with
+// the session caches and when callers fall back to a full Dijkstra.
 package spf

@@ -1,294 +1,10 @@
 package spf
 
-// Dynamic shortest-path repair in the style of Ramalingam–Reps: after a
-// single-link weight change or up/down toggle, update the cached reverse
-// SPF of one destination by recomputing only the vertices whose distance
-// actually changes, instead of re-running Dijkstra from scratch.
-//
-// Invariants the repair maintains — the same three every consumer of a
-// Run's outputs relies on:
-//
-//  1. dist[v] is the exact shortest distance from v to the destination
-//     over alive links under the current weights (Inf if unreachable).
-//  2. order lists exactly the reachable vertices in ascending distance.
-//     Equal-distance vertices may appear in any relative order: weights
-//     are >= 1, so no shortest-path DAG edge connects a distance tie,
-//     and every downstream pass (the pull-based load accumulation, the
-//     delay DPs) is a function of the distances alone. A repaired order
-//     therefore yields bit-identical loads and delays to a fresh Run's
-//     order even though the two orders may permute ties differently.
-//  3. DAG membership is derived, never stored: link (u,v) is on the DAG
-//     iff dist[u] == w(u,v) + dist[v] and the link is alive. Repairing
-//     distances repairs membership for free.
-//
-// The algorithm splits on the direction of the change:
-//
-// Decrease (including restoring a dead link): the only distances that
-// can improve are those with a new shortest path through the changed
-// link. If newW + dist[head] >= dist[tail] nothing changes; otherwise a
-// plain Dijkstra seeded at the tail propagates the improvement through
-// in-links. Visited vertices are exactly those whose distance drops.
-//
-// Increase (including failing a link): distances can only grow, and only
-// for vertices all of whose shortest paths crossed the changed link. If
-// the link was not tight (dist[tail] != oldW + dist[head]) nothing
-// changes. Otherwise:
-//
-//   - Phase A identifies the affected set with a min-heap keyed by OLD
-//     distance, seeded with the tail. A popped candidate is affected iff
-//     it has no alive tight out-link to an unaffected vertex; each newly
-//     affected vertex enqueues its tight in-neighbors. Tight links
-//     strictly decrease distance, so candidates pop in ascending old
-//     distance and every vertex's smaller-distance tight successors have
-//     final membership when it is tested — the property the one-pass
-//     test depends on.
-//   - Phase B sets the affected distances to Inf, computes each affected
-//     vertex's best candidate through unaffected neighbors, and runs a
-//     Dijkstra restricted to the affected set. Vertices left at Inf are
-//     the ones the change disconnected.
-//
-// Both paths finish by merging the changed vertices (collected in
-// settle order, i.e. ascending new distance) into the untouched
-// remainder of the old order — O(n) with a tiny constant, against the
-// O((n+m) log n) Dijkstra it replaces.
-//
-// Callers fall back to a full Run when no pre-change snapshot exists
-// (session Init / demand rebases) or when more than one link changed at
-// once; Repair itself degrades to a no-op when the change provably
-// cannot move any distance.
+// Helpers shared by the phases of the Ramalingam–Reps repair in batch.go:
+// the node-mark epoch, the settled-order merge each phase finishes with,
+// and the array swap that lets a State be repaired in place.
 
-import (
-	"math"
-
-	"repro/internal/graph"
-)
-
-// Repair updates the workspace's current SPF state (the last Run, or a
-// Restored snapshot) for a change of alive link li's weight from oldW to
-// newW. w must already hold the new weights (w[li] == newW) and mask the
-// current topology. It reports whether any distance changed; when it
-// returns false, distances and order are untouched (DAG membership may
-// still have changed, which is derived state).
-func (ws *Workspace) Repair(g *graph.Graph, w []int32, li int, oldW, newW int32, mask *graph.Mask) bool {
-	if !mask.LinkAlive(li) {
-		return false // dead links carry nothing under either weight
-	}
-	return ws.repair(g, w, li, int64(oldW), int64(newW), mask)
-}
-
-// RepairLinkDown updates the workspace's current SPF state after link li
-// went down. mask must already mark the link dead; w is unchanged. It is
-// the newW -> Inf limit of Repair.
-func (ws *Workspace) RepairLinkDown(g *graph.Graph, w []int32, li int, mask *graph.Mask) bool {
-	return ws.repair(g, w, li, int64(w[li]), Inf, mask)
-}
-
-// RepairLinkUp updates the workspace's current SPF state after link li
-// came back up. mask must already mark the link alive; if an endpoint
-// node is still down the link stays dead and nothing changes. It is the
-// oldW -> Inf limit of Repair, reversed.
-func (ws *Workspace) RepairLinkUp(g *graph.Graph, w []int32, li int, mask *graph.Mask) bool {
-	if !mask.LinkAlive(li) {
-		return false
-	}
-	return ws.repair(g, w, li, Inf, int64(w[li]), mask)
-}
-
-// repair is the shared core. oldEff/newEff are the effective weights of
-// link li before and after the event, with Inf encoding "down".
-func (ws *Workspace) repair(g *graph.Graph, w []int32, li int, oldEff, newEff int64, mask *graph.Mask) bool {
-	if g != ws.g {
-		panic("spf: Workspace used with a graph other than the one it was created for")
-	}
-	m := met.Get()
-	if oldEff == newEff {
-		ws.stats.Noop++
-		if m != nil {
-			m.repairNoop.Inc()
-		}
-		return false
-	}
-	tail, head := ws.lfrom[li], ws.lto[li]
-	dv := ws.dist[head]
-	if dv >= Inf {
-		// The link leads nowhere near this destination (including the
-		// dead-destination case where every distance is Inf).
-		ws.stats.Noop++
-		if m != nil {
-			m.repairNoop.Inc()
-		}
-		return false
-	}
-	if newEff < oldEff {
-		changed := ws.repairDecrease(g, w, tail, dv+newEff, mask)
-		ws.stats.Decrease++
-		if changed {
-			ws.stats.ChangedNodes += len(ws.chgSorted)
-		}
-		if m != nil {
-			m.repairDecrease.Inc()
-			if changed {
-				m.changedNodes.Observe(float64(len(ws.chgSorted)))
-			}
-		}
-		return changed
-	}
-	changed := ws.repairIncrease(g, w, tail, dv+oldEff, mask)
-	ws.stats.Increase++
-	if changed {
-		ws.stats.ChangedNodes += len(ws.affList)
-	}
-	if m != nil {
-		m.repairIncrease.Inc()
-		if changed {
-			m.changedNodes.Observe(float64(len(ws.affList)))
-		}
-	}
-	return changed
-}
-
-// repairDecrease handles a weight decrease or link restoration: nd is
-// the new candidate distance of the changed link's tail through it.
-func (ws *Workspace) repairDecrease(g *graph.Graph, w []int32, tail int32, nd int64, mask *graph.Mask) bool {
-	if nd >= ws.dist[tail] {
-		return false // at best a distance tie: membership-only change
-	}
-	epoch := ws.nextRepairEpoch()
-	ws.heap = ws.heap[:0]
-	ws.chgSorted = ws.chgSorted[:0]
-	ws.dist[tail] = nd
-	ws.aMark[tail] = epoch
-	ws.heapPush(heapEntry{nd, tail})
-	for len(ws.heap) > 0 {
-		e := ws.heapPop()
-		if e.dist != ws.dist[e.node] {
-			continue // stale entry
-		}
-		ws.chgSorted = append(ws.chgSorted, e.node) // settles in ascending new distance
-		for _, lj := range g.InLinks(int(e.node)) {
-			if !mask.LinkAlive(int(lj)) {
-				continue
-			}
-			y := ws.lfrom[lj]
-			if nd2 := e.dist + int64(w[lj]); nd2 < ws.dist[y] {
-				ws.dist[y] = nd2
-				ws.aMark[y] = epoch
-				ws.heapPush(heapEntry{nd2, y})
-			}
-		}
-	}
-	ws.mergeOrder(epoch)
-	return true
-}
-
-// repairIncrease handles a weight increase or link failure: du is the
-// distance the changed link offered its tail before the event.
-func (ws *Workspace) repairIncrease(g *graph.Graph, w []int32, tail int32, du int64, mask *graph.Mask) bool {
-	if ws.dist[tail] != du {
-		return false // the link was not tight: it carried no shortest path
-	}
-
-	// Phase A: identify the affected set in ascending old-distance order.
-	epoch := ws.nextRepairEpoch()
-	ws.heap = ws.heap[:0]
-	ws.affList = ws.affList[:0]
-	ws.qMark[tail] = epoch
-	ws.heapPush(heapEntry{du, tail})
-	for len(ws.heap) > 0 {
-		e := ws.heapPop()
-		x := e.node
-		dx := ws.dist[x]
-		hasAlt := false
-		for _, lj := range g.OutLinks(int(x)) {
-			if !mask.LinkAlive(int(lj)) {
-				continue
-			}
-			z := ws.lto[lj]
-			if ws.aMark[z] == epoch {
-				continue
-			}
-			if dz := ws.dist[z]; dz < Inf && dx == dz+int64(w[lj]) {
-				hasAlt = true // a surviving tight out-link: distance holds
-				break
-			}
-		}
-		if hasAlt {
-			continue
-		}
-		ws.aMark[x] = epoch
-		ws.affList = append(ws.affList, x)
-		for _, lj := range g.InLinks(int(x)) {
-			if !mask.LinkAlive(int(lj)) {
-				continue
-			}
-			y := ws.lfrom[lj]
-			if ws.qMark[y] == epoch || ws.aMark[y] == epoch {
-				continue
-			}
-			if dy := ws.dist[y]; dy < Inf && dy == dx+int64(w[lj]) {
-				ws.qMark[y] = epoch
-				ws.heapPush(heapEntry{dy, y})
-			}
-		}
-	}
-	if len(ws.affList) == 0 {
-		// The tail kept another tight out-link: an ECMP membership change
-		// only, every distance intact.
-		return false
-	}
-
-	// Phase B: recompute the affected set against the unaffected rim.
-	for _, x := range ws.affList {
-		ws.dist[x] = Inf
-	}
-	ws.heap = ws.heap[:0]
-	for _, x := range ws.affList {
-		best := Inf
-		for _, lj := range g.OutLinks(int(x)) {
-			if !mask.LinkAlive(int(lj)) {
-				continue
-			}
-			dz := ws.dist[ws.lto[lj]] // affected neighbors sit at Inf and drop out
-			if dz >= Inf {
-				continue
-			}
-			if c := dz + int64(w[lj]); c < best {
-				best = c
-			}
-		}
-		ws.cand[x] = best
-		if best < Inf {
-			ws.heapPush(heapEntry{best, x})
-		}
-	}
-	ws.chgSorted = ws.chgSorted[:0]
-	for len(ws.heap) > 0 {
-		e := ws.heapPop()
-		x := e.node
-		if ws.dist[x] < Inf || e.dist != ws.cand[x] {
-			continue // settled or stale
-		}
-		ws.dist[x] = e.dist
-		ws.chgSorted = append(ws.chgSorted, x)
-		for _, lj := range g.InLinks(int(x)) {
-			if !mask.LinkAlive(int(lj)) {
-				continue
-			}
-			y := ws.lfrom[lj]
-			if ws.aMark[y] != epoch || ws.dist[y] < Inf {
-				continue
-			}
-			if c := e.dist + int64(w[lj]); c < ws.cand[y] {
-				ws.cand[y] = c
-				ws.heapPush(heapEntry{c, y})
-			}
-		}
-	}
-	// Affected vertices still at Inf were disconnected by the change;
-	// mergeOrder drops them from the settled order.
-	ws.mergeOrder(epoch)
-	return true
-}
+import "math"
 
 // nextRepairEpoch advances the mark epoch, clearing the mark arrays on
 // the (every ~2^31 repairs) wraparound so stale marks from a previous
@@ -328,32 +44,6 @@ func (ws *Workspace) mergeOrder(epoch int32) {
 	merged = append(merged, cs[ci:]...)
 	ws.order = merged
 	ws.order2 = old[:0]
-}
-
-// Repair applies a single-link weight change (oldW -> newW on alive link
-// li) to this snapshot in place, using ws for scratch: the
-// Ramalingam–Reps update of Workspace.Repair without the Restore/Save
-// round trip. w must already hold the new weights. The workspace's own
-// last-Run outputs are preserved. Reports whether any distance changed.
-func (s *State) Repair(ws *Workspace, g *graph.Graph, w []int32, li int, oldW, newW int32, mask *graph.Mask) bool {
-	if !mask.LinkAlive(li) {
-		return false
-	}
-	return s.repairSwapped(ws, func() bool {
-		return ws.repair(g, w, li, int64(oldW), int64(newW), mask)
-	})
-}
-
-// RepairLink applies a link-up/down toggle of link li to this snapshot
-// in place, the toggle analogue of State.Repair. mask must already
-// reflect the new link state.
-func (s *State) RepairLink(ws *Workspace, g *graph.Graph, w []int32, li int, up bool, mask *graph.Mask) bool {
-	return s.repairSwapped(ws, func() bool {
-		if up {
-			return ws.RepairLinkUp(g, w, li, mask)
-		}
-		return ws.RepairLinkDown(g, w, li, mask)
-	})
 }
 
 // repairSwapped runs a workspace repair directly on the snapshot's

@@ -10,6 +10,12 @@ import (
 	"repro/internal/topogen"
 )
 
+// repairOne applies one link change to the workspace as a batch of one,
+// the form every single weight move or link flip takes.
+func repairOne(ws *Workspace, g *graph.Graph, w []int32, li int, oldEff, newEff int64, mask *graph.Mask) bool {
+	return ws.RepairBatch(g, w, []LinkChange{{Link: li, OldEff: oldEff, NewEff: newEff}}, mask)
+}
+
 // TestRepairEpochWraparound: when the mark epoch wraps after ~2^31
 // repairs, stale marks from earlier cycles must not collide with the
 // fresh epoch (the arrays are cleared on wrap).
@@ -30,7 +36,7 @@ func TestRepairEpochWraparound(t *testing.T) {
 	for step, newW := range []int32{7, 1, 12} {
 		oldW := w[0]
 		w[0] = newW
-		ws.Repair(g, w, 0, oldW, newW, nil)
+		repairOne(ws, g, w, 0, int64(oldW), int64(newW), nil)
 		fresh.Run(g, w, 3, nil)
 		requireSameSPF(t, "wrap step", g, w, nil, ws, fresh)
 		if step == 0 && ws.repEpoch != 1 {
@@ -50,7 +56,7 @@ func TestRepairWeightDiamond(t *testing.T) {
 	// Increase the unique-path link 0->1 past the lower alternative:
 	// node 0's distance grows from 2 to 4 (via 0->2).
 	w[0] = 5
-	if !ws.Repair(g, w, 0, 1, 5, nil) {
+	if !repairOne(ws, g, w, 0, 1, 5, nil) {
 		t.Fatal("increase on a unique-path link reported no change")
 	}
 	fresh.Run(g, w, 3, nil)
@@ -58,7 +64,7 @@ func TestRepairWeightDiamond(t *testing.T) {
 
 	// Decrease it back: restores the original distances.
 	w[0] = 1
-	if !ws.Repair(g, w, 0, 5, 1, nil) {
+	if !repairOne(ws, g, w, 0, 5, 1, nil) {
 		t.Fatal("decrease back reported no change")
 	}
 	fresh.Run(g, w, 3, nil)
@@ -69,13 +75,13 @@ func TestRepairWeightDiamond(t *testing.T) {
 	// First rejoin the lower path at a distance tie — also membership
 	// only, the decrease side of the same coin.
 	w[2] = 1
-	if ws.Repair(g, w, 2, 3, 1, nil) {
+	if repairOne(ws, g, w, 2, 3, 1, nil) {
 		t.Fatal("rejoining at a distance tie must not change distances")
 	}
 	fresh.Run(g, w, 3, nil)
 	requireSameSPF(t, "tie restore", g, w, nil, ws, fresh)
 	w[0] = 5
-	if ws.Repair(g, w, 0, 1, 5, nil) {
+	if repairOne(ws, g, w, 0, 1, 5, nil) {
 		t.Fatal("increase with a surviving tight sibling must not change distances")
 	}
 	fresh.Run(g, w, 3, nil)
@@ -86,7 +92,7 @@ func TestRepairWeightDiamond(t *testing.T) {
 	// changing it is a no-op that must not touch anything.
 	ws.Run(g, w, 3, nil)
 	w[5] = 17
-	if ws.Repair(g, w, 5, 1, 17, nil) {
+	if repairOne(ws, g, w, 5, 1, 17, nil) {
 		t.Fatal("reverse-link change reported a distance change")
 	}
 	fresh.Run(g, w, 3, nil)
@@ -104,7 +110,7 @@ func TestRepairLinkToggleDiamond(t *testing.T) {
 	// Fail 0->1: node 0 reroutes via the lower path at the same distance
 	// (ECMP membership change only), so distances hold.
 	m.FailLink(0)
-	if ws.RepairLinkDown(g, w, 0, m) {
+	if repairOne(ws, g, w, 0, int64(w[0]), Inf, m) {
 		t.Fatal("failing one of two equal paths must not change distances")
 	}
 	fresh.Run(g, w, 3, m)
@@ -112,7 +118,7 @@ func TestRepairLinkToggleDiamond(t *testing.T) {
 
 	// Fail 0->2 too: node 0 becomes disconnected.
 	m.FailLink(2)
-	if !ws.RepairLinkDown(g, w, 2, m) {
+	if !repairOne(ws, g, w, 2, int64(w[2]), Inf, m) {
 		t.Fatal("disconnecting failure reported no change")
 	}
 	fresh.Run(g, w, 3, m)
@@ -123,7 +129,7 @@ func TestRepairLinkToggleDiamond(t *testing.T) {
 
 	// Restore 0->1: node 0 reconnects through node 1.
 	m.ReviveLink(0)
-	if !ws.RepairLinkUp(g, w, 0, m) {
+	if !repairOne(ws, g, w, 0, Inf, int64(w[0]), m) {
 		t.Fatal("reconnecting restoration reported no change")
 	}
 	fresh.Run(g, w, 3, m)
@@ -205,7 +211,7 @@ func requireSameSPF(t *testing.T, step string, g *graph.Graph, w []int32, mask *
 
 // TestQuickRepairMatchesRun maintains one destination's SPF through a
 // random sequence of single-link weight moves (with immediate reverts
-// mixed in) purely by repair, comparing against a from-scratch run after
+// mixed in) purely by one-entry batch repairs, comparing against a from-scratch run after
 // every event.
 func TestQuickRepairMatchesRun(t *testing.T) {
 	f := func(seed int64) bool {
@@ -220,7 +226,7 @@ func TestQuickRepairMatchesRun(t *testing.T) {
 			oldW := w[li]
 			newW := int32(1 + r.Intn(20))
 			w[li] = newW
-			ws.Repair(g, w, li, oldW, newW, nil)
+			repairOne(ws, g, w, li, int64(oldW), int64(newW), nil)
 			fresh.Run(g, w, dest, nil)
 			for v := 0; v < g.NumNodes(); v++ {
 				if ws.dist[v] != fresh.dist[v] {
@@ -229,7 +235,7 @@ func TestQuickRepairMatchesRun(t *testing.T) {
 			}
 			if r.Float64() < 0.4 {
 				w[li] = oldW
-				ws.Repair(g, w, li, newW, oldW, nil)
+				repairOne(ws, g, w, li, int64(newW), int64(oldW), nil)
 				fresh.Run(g, w, dest, nil)
 				for v := 0; v < g.NumNodes(); v++ {
 					if ws.dist[v] != fresh.dist[v] {
@@ -261,10 +267,10 @@ func TestQuickRepairTogglesMatchRun(t *testing.T) {
 			li := r.Intn(g.NumLinks())
 			if down[li] {
 				m.ReviveLink(li)
-				ws.RepairLinkUp(g, w, li, m)
+				repairOne(ws, g, w, li, Inf, int64(w[li]), m)
 			} else {
 				m.FailLink(li)
-				ws.RepairLinkDown(g, w, li, m)
+				repairOne(ws, g, w, li, int64(w[li]), Inf, m)
 			}
 			down[li] = !down[li]
 			fresh.Run(g, w, dest, m)
@@ -283,9 +289,9 @@ func TestQuickRepairTogglesMatchRun(t *testing.T) {
 
 // testRepairEquivalence drives a set of per-destination snapshots
 // through a randomized sequence of weight moves, link toggles and
-// reverts, repairing every snapshot in place (spf.State.Repair /
-// RepairLink) and asserting full bit-identity with a from-scratch run
-// after every event. This is the tentpole acceptance property on the
+// reverts, repairing every snapshot in place with one-entry
+// State.RepairBatch calls and asserting full bit-identity with a
+// from-scratch run after every event. This is the tentpole acceptance property on the
 // paper's topologies.
 func testRepairEquivalence(t *testing.T, g *graph.Graph, ndests, steps int, seed int64) {
 	t.Helper()
@@ -315,14 +321,10 @@ func testRepairEquivalence(t *testing.T, g *graph.Graph, ndests, steps int, seed
 		}
 	}
 
-	repairAll := func(li int, oldW, newW int32) {
+	repairAll := func(li int, oldEff, newEff int64) {
+		one := []LinkChange{{Link: li, OldEff: oldEff, NewEff: newEff}}
 		for i := range states {
-			states[i].Repair(ws, g, w, li, oldW, newW, mask)
-		}
-	}
-	toggleAll := func(li int, up bool) {
-		for i := range states {
-			states[i].RepairLink(ws, g, w, li, up, mask)
+			states[i].RepairBatch(ws, g, w, one, mask)
 		}
 	}
 
@@ -333,10 +335,10 @@ func testRepairEquivalence(t *testing.T, g *graph.Graph, ndests, steps int, seed
 			li := r.Intn(m)
 			if down[li] {
 				mask.ReviveLink(li)
-				toggleAll(li, true)
+				repairAll(li, Inf, int64(w[li]))
 			} else {
 				mask.FailLink(li)
-				toggleAll(li, false)
+				repairAll(li, int64(w[li]), Inf)
 			}
 			down[li] = !down[li]
 			check("toggle")
@@ -345,11 +347,11 @@ func testRepairEquivalence(t *testing.T, g *graph.Graph, ndests, steps int, seed
 			oldW := w[li]
 			newW := int32(1 + r.Intn(20))
 			w[li] = newW
-			repairAll(li, oldW, newW)
+			repairAll(li, int64(oldW), int64(newW))
 			check("weight")
 			if r.Float64() < 0.5 {
 				w[li] = oldW
-				repairAll(li, newW, oldW)
+				repairAll(li, int64(newW), int64(oldW))
 				check("revert")
 			}
 		}
@@ -403,7 +405,7 @@ func TestStateRepairPreservesWorkspace(t *testing.T) {
 	// Increase 1->3, node 1's only tight out-link toward destination 3:
 	// its distance moves from 1 to 3 (rerouting 1->0->2->3).
 	w[4] = 6
-	if !st.Repair(ws, g, w, 4, 1, 6, nil) {
+	if !st.RepairBatch(ws, g, w, []LinkChange{{Link: 4, OldEff: 1, NewEff: 6}}, nil) {
 		t.Fatal("repair reported no change")
 	}
 	for v := range wantDist {
