@@ -24,36 +24,25 @@ func destAffect(t int, aff, dag []int) int {
 	return affectNone
 }
 
-// TestClassifyBoundaryCases pins the classifier's boundary cases for
-// destination 3 on the two-path diamond (links 0:0->1 2:0->2 4:1->3
-// 6:2->3, reverse links odd), driving the real entry points: a weight
-// move is an Apply, a flip is a SetLinkState. Both classes carry the
-// same weights, so they must agree.
-func TestClassifyBoundaryCases(t *testing.T) {
-	cases := []struct {
-		name    string
-		weights map[int]int32 // non-unit weights before the change
-		failed  []int         // links down before the change
-		link    int
-		move    int32 // Apply(link, move, move) when nonzero, else a flip
-		up      bool  // the flip's direction
-		want    int
-	}{
-		{name: "unchanged weight", link: 0, move: 1, want: affectNone},
-		{name: "covered leave: raise one of two tight out-links", link: 0, move: 5, want: affectDAGOnly},
-		{name: "covered leave: fail one of two tight out-links", link: 0, want: affectDAGOnly},
-		{name: "uncovered leave: raise the unique tight out-link", weights: map[int]int32{2: 3}, link: 0, move: 5, want: affectFull},
-		{name: "uncovered leave: fail the unique tight out-link", weights: map[int]int32{2: 3}, link: 0, want: affectFull},
-		{name: "reverse link toward the destination's side", weights: map[int]int32{5: 5}, link: 5, move: 1, want: affectNone},
-		{name: "raise an off-DAG link", weights: map[int]int32{0: 10}, link: 0, move: 15, want: affectNone},
-		{name: "tie join: lower an off-DAG link to a tie", weights: map[int]int32{0: 10}, link: 0, move: 1, want: affectDAGOnly},
-		{name: "tie join: restore a link at a tie", failed: []int{0}, link: 0, up: true, want: affectDAGOnly},
-		{name: "strict improvement: lower an off-DAG link", weights: map[int]int32{0: 10, 2: 3}, link: 0, move: 1, want: affectFull},
-		{name: "strict improvement: restore a shorter link", weights: map[int]int32{2: 3}, failed: []int{0}, link: 0, up: true, want: affectFull},
-		{name: "dead link weight move", failed: []int{0}, link: 0, move: 20, want: affectNone},
-		{name: "unreachable head: node 1 cut off", failed: []int{1, 4}, link: 0, move: 7, want: affectNone},
-		{name: "unreachable head: lower into node 1 cut off", failed: []int{1, 4}, weights: map[int]int32{0: 9}, link: 0, move: 1, want: affectNone},
-	}
+// classifyCase is one link change on the two-path diamond (links 0:0->1
+// 2:0->2 4:1->3 6:2->3, reverse links odd) and the classification it
+// must get for destination 3.
+type classifyCase struct {
+	name     string
+	weights  map[int]int32 // non-unit weights before the change
+	failed   []int         // links down before the change
+	deadNode int           // node down before the change when nonzero
+	link     int
+	move     int32 // Apply(link, move, move) when nonzero, else a flip
+	up       bool  // the flip's direction
+	want     int
+}
+
+// runClassifyCases drives each case through the real entry points: a
+// weight move is an Apply, a flip is a SetLinkState. Both classes carry
+// the same weights, so they must agree.
+func runClassifyCases(t *testing.T, cases []classifyCase) {
+	t.Helper()
 	const dest = 3
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,6 +52,9 @@ func TestClassifyBoundaryCases(t *testing.T) {
 			mask := graph.NewMask(g)
 			for _, li := range tc.failed {
 				mask.FailLink(li)
+			}
+			if tc.deadNode != 0 {
+				mask.FailNode(tc.deadNode)
 			}
 			s := ev.NewSession(mask, -1)
 			w := NewWeightSetting(g.NumLinks())
@@ -82,6 +74,39 @@ func TestClassifyBoundaryCases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClassifyBoundaryCases pins the classifier's boundary cases for
+// destination 3 on live links with a reachable head.
+func TestClassifyBoundaryCases(t *testing.T) {
+	runClassifyCases(t, []classifyCase{
+		{name: "unchanged weight", link: 0, move: 1, want: affectNone},
+		{name: "covered leave: raise one of two tight out-links", link: 0, move: 5, want: affectDAGOnly},
+		{name: "covered leave: fail one of two tight out-links", link: 0, want: affectDAGOnly},
+		{name: "uncovered leave: raise the unique tight out-link", weights: map[int]int32{2: 3}, link: 0, move: 5, want: affectFull},
+		{name: "uncovered leave: fail the unique tight out-link", weights: map[int]int32{2: 3}, link: 0, want: affectFull},
+		{name: "reverse link toward the destination's side", weights: map[int]int32{5: 5}, link: 5, move: 1, want: affectNone},
+		{name: "raise an off-DAG link", weights: map[int]int32{0: 10}, link: 0, move: 15, want: affectNone},
+		{name: "tie join: lower an off-DAG link to a tie", weights: map[int]int32{0: 10}, link: 0, move: 1, want: affectDAGOnly},
+		{name: "tie join: restore a link at a tie", failed: []int{0}, link: 0, up: true, want: affectDAGOnly},
+		{name: "strict improvement: lower an off-DAG link", weights: map[int]int32{0: 10, 2: 3}, link: 0, move: 1, want: affectFull},
+		{name: "strict improvement: restore a shorter link", weights: map[int]int32{2: 3}, failed: []int{0}, link: 0, up: true, want: affectFull},
+	})
+}
+
+// TestClassifyDeadLinkAndDeadDest pins the cases where nothing can change
+// for destination 3: a weight move on a failed link, a change whose head
+// is cut off from the destination, and a destination that is itself
+// down (the session skips it before classifying).
+func TestClassifyDeadLinkAndDeadDest(t *testing.T) {
+	runClassifyCases(t, []classifyCase{
+		{name: "dead link weight move", failed: []int{0}, link: 0, move: 20, want: affectNone},
+		{name: "unreachable head: node 1 cut off", failed: []int{1, 4}, link: 0, move: 7, want: affectNone},
+		{name: "unreachable head: lower into node 1 cut off", failed: []int{1, 4}, weights: map[int]int32{0: 9}, link: 0, move: 1, want: affectNone},
+		{name: "dead destination: raise a link into it", deadNode: 3, link: 4, move: 7, want: affectNone},
+		{name: "dead destination: lower a link into it", deadNode: 3, weights: map[int]int32{4: 9}, link: 4, move: 1, want: affectNone},
+		{name: "dead destination: fail a link into it", deadNode: 3, link: 6, want: affectNone},
+	})
 }
 
 // TestQuickUnaffectedMeansIdentical is the soundness property the whole
