@@ -463,6 +463,56 @@ func BenchmarkRecomputeSerialVsParallel1000(b *testing.B) {
 	b.Run("Parallel", func(b *testing.B) { run(b, 0) })
 }
 
+// BenchmarkLinkFlapBatch1000 measures one session's share of the online
+// link-telemetry path at n=1000: a serial session over the 1000-node
+// hierarchical ISP driven by batches of the shape perfbench's flaps
+// workload posts to dtrd. Every op is one SetLinkStates batch that fails
+// one or two physical links (alternating, both directions of each) and
+// restores the failure made hold=3 batches earlier. Time goes to the
+// layers after the SPF repair — the per-destination refresh, the link
+// re-sum and the Λ pass — so this is the benchmark those layers answer to.
+func BenchmarkLinkFlapBatch1000(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, err := topogen.Generate(topogen.Spec{Kind: topogen.HierKind, Nodes: 1000}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	demD, demT := traffic.Gravity(g.NumNodes(), 1, 0.3, rng)
+	if _, err := routing.ScaleToAvgUtil(g, demD, demT, 0.43); err != nil {
+		b.Fatal(err)
+	}
+	ev := routing.NewEvaluator(g, demD, demT, cost.DefaultParams(), routing.WorstPath)
+	ses := ev.NewSession(nil, -1)
+	ses.Init(routing.RandomWeightSetting(g.NumLinks(), 20, rng))
+	const hold = 3
+	m := g.NumLinks()
+	down := make([]bool, m)
+	open := make([][]int, hold) // open[i%hold]: the links batch i failed
+	var batch []routing.LinkStateChange
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch = batch[:0]
+		for _, li := range open[i%hold] {
+			r := g.Link(li).Reverse
+			down[li], down[r] = false, false
+			batch = append(batch, routing.LinkStateChange{Link: li, Up: true}, routing.LinkStateChange{Link: r, Up: true})
+		}
+		open[i%hold] = open[i%hold][:0]
+		for k := 1 + i%2; k > 0; k-- {
+			li := rng.Intn(m)
+			for down[li] || g.Link(li).Reverse < 0 {
+				li = rng.Intn(m)
+			}
+			r := g.Link(li).Reverse
+			down[li], down[r] = true, true
+			open[i%hold] = append(open[i%hold], li)
+			batch = append(batch, routing.LinkStateChange{Link: li}, routing.LinkStateChange{Link: r})
+		}
+		ses.SetLinkStates(batch)
+	}
+}
+
 // BenchmarkBatchLinkRepair measures batched multi-link repair on the
 // SRLG shape it was built for: an 8-link shared-risk group tripping and
 // restoring on a persistent session over the Table III 100-node

@@ -351,23 +351,26 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return r.lookup(name, help, KindHistogram, bounds, labels).h
 }
 
+// familySnap is one family with a sorted copy of its series, taken
+// under r.mu: the family's own order slice keeps growing under the lock
+// while a render reads the copy.
+type familySnap struct {
+	*family
+	series []*series
+}
+
 // snapshotFamilies returns the families sorted by name, each with its
 // series sorted by label signature — the deterministic render order.
-func (r *Registry) snapshotFamilies() []*family {
+func (r *Registry) snapshotFamilies() []familySnap {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
+	fams := make([]familySnap, 0, len(r.families))
 	for _, f := range r.families {
-		fams = append(fams, f)
+		fams = append(fams, familySnap{family: f, series: append([]*series(nil), f.order...)})
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
-		// order is only appended to under r.mu; sort a copy for render.
-		r.mu.Lock()
-		ser := append([]*series(nil), f.order...)
-		r.mu.Unlock()
-		sort.Slice(ser, func(i, j int) bool { return ser[i].sig < ser[j].sig })
-		f.order = ser
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].sig < f.series[j].sig })
 	}
 	return fams
 }

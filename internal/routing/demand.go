@@ -1,7 +1,7 @@
 package routing
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/traffic"
 )
@@ -10,13 +10,14 @@ import (
 // routing provably cannot change — weights and topology are untouched,
 // so every SPF snapshot, DAG and distance stays exactly as it is. Only
 // the destination columns whose demands moved need new load
-// contributions and Λ subtotals, and the session's recompute tail
-// (recompute, with every touched destination classified DAG-only)
-// already maintains the link aggregates and the delay DP ripple in the
-// bit-exact re-summation order. A dense update that moves most columns
-// falls back to the full Init rebase — same bits, and the delta
-// bookkeeping would only add overhead. See DESIGN.md ("The demand-delta
-// engine").
+// contributions and Λ subtotals, and within a column only what lies
+// downstream of a changed source: the session's recompute runs the same
+// seeded partial refresh as for a link change (refresh.go), seeded at
+// the column's changed sources, and its tail already maintains the link
+// aggregates and the delay DP ripple in the bit-exact re-summation
+// order. A dense update that moves most columns falls back to the full
+// Init rebase — same bits, and the delta bookkeeping would only add
+// overhead. See DESIGN.md ("The demand-delta engine").
 
 // demandRebaseFracDefault is the default fallback threshold: a demand
 // update changing more than this fraction of the 2n destination columns
@@ -43,8 +44,8 @@ func (s *Session) SetDemandRebaseThreshold(frac float64) {
 }
 
 // SetDemandBatchThreshold tunes where demand updates switch from the
-// sparse per-column refresh (undo stash, changed-link discovery) to the
-// dense batch path (contributions recomputed in place, every link load
+// sparse per-column refresh (logged writes, changed-link re-sum) to the
+// dense batch path (the same refresh without a log, every link load
 // re-summed once): updates changing more than frac of the 2n destination
 // columns go dense. frac 0 sends every update down the dense path; frac
 // 1 disables it (the pre-batch behavior, kept as the test oracle).
@@ -82,12 +83,12 @@ func (s *Session) SetDemands(demD, demT *traffic.Matrix) Result {
 		m.updDemand.Inc()
 	}
 	sp := s.beginUpdateSpan("session.demand")
-	s.chgColsD = changedColumns(s.demD, demD, s.chgColsD)
-	s.chgColsT = changedColumns(s.demT, demT, s.chgColsT)
+	s.diffD.diff(s.demD, demD)
+	s.diffT.diff(s.demT, demT)
 	s.demD, s.demT = demD, demT
 	s.ownsDemD, s.ownsDemT = false, false
-	res := s.refreshDemands(s.chgColsD, s.chgColsT)
-	sp.SetAttr("columns", int64(len(s.chgColsD)+len(s.chgColsT)))
+	res := s.refreshDemands()
+	sp.SetAttr("columns", int64(len(s.diffD.cols)+len(s.diffT.cols)))
 	s.endUpdateSpan(sp)
 	return res
 }
@@ -121,21 +122,22 @@ func (s *Session) ApplyDemandDelta(dd, dt *traffic.Delta) Result {
 	}
 	sp := s.beginUpdateSpan("session.demand_delta")
 	sp.SetAttr("entries", int64(dd.Len()+dt.Len()))
-	s.chgColsD = s.applyDeltaClass(&s.demD, &s.ownsDemD, dd, s.chgColsD)
-	s.chgColsT = s.applyDeltaClass(&s.demT, &s.ownsDemT, dt, s.chgColsT)
-	res := s.refreshDemands(s.chgColsD, s.chgColsT)
-	sp.SetAttr("columns", int64(len(s.chgColsD)+len(s.chgColsT)))
+	applyDeltaClass(&s.demD, &s.ownsDemD, dd, &s.diffD)
+	applyDeltaClass(&s.demT, &s.ownsDemT, dt, &s.diffT)
+	res := s.refreshDemands()
+	sp.SetAttr("columns", int64(len(s.diffD.cols)+len(s.diffT.cols)))
 	s.endUpdateSpan(sp)
 	return res
 }
 
 // refreshDemands is the shared evaluation tail of the demand updates:
-// the session's matrices already hold the new values, chgD/chgT list
-// the destination columns whose demands changed per class. It routes
-// small updates through recompute with every changed, alive column
-// classified DAG-only (distances untouched, contribution + Λ refresh
-// only) and large ones through the full Init rebase.
-func (s *Session) refreshDemands(chgD, chgT []int) Result {
+// the session's matrices already hold the new values, s.diffD/s.diffT
+// hold the changed entries per class grouped by destination column. It
+// routes small updates through recompute — each changed, alive column
+// refreshed from its changed sources — and large ones through the full
+// Init rebase.
+func (s *Session) refreshDemands() Result {
+	chgD, chgT := s.diffD.cols, s.diffT.cols
 	if len(chgD)+len(chgT) == 0 {
 		// Nothing observable moved; just honor the "pending undo is
 		// cleared" contract.
@@ -175,92 +177,104 @@ func (s *Session) refreshDemands(chgD, chgT []int) Result {
 	if nAlive == 0 {
 		return s.res // only dead destinations' columns moved
 	}
-	if float64(nAlive) > s.denseFrac*float64(2*n) {
-		// Dense batch path: recompute the changed contributions in place
-		// (distances and DAGs are untouched by demand moves) and re-sum
-		// every link load once in Init's exact addition order — same
-		// bits, none of the per-column undo and diff bookkeeping.
+	// Past denseFrac the refresh runs without a log and every link load
+	// is re-summed once in Init's exact addition order — same bits, none
+	// of the changed-link bookkeeping.
+	s.denseCols = float64(nAlive) > s.denseFrac*float64(2*n)
+	if s.denseCols {
 		if m := met.Get(); m != nil {
 			m.demandDense.Inc()
 		}
-		s.denseD, s.denseT = chgD, chgT
-		s.denseCols = true
-		s.recompute(u)
-		s.denseCols = false
-		return s.res
 	}
-	for _, t := range chgD {
-		if s.alive(t) {
-			s.dagD = append(s.dagD, t)
-		}
-	}
-	for _, t := range chgT {
-		if s.alive(t) {
-			s.dagT = append(s.dagT, t)
-		}
-	}
+	s.demandUpd = true
 	s.recompute(u)
+	s.demandUpd, s.denseCols = false, false
 	return s.res
+}
+
+// demandDiff is one class's changed demand entries grouped by
+// destination column: cols lists the changed columns ascending, and
+// column t's changed sources are src[k] for k = head[t], next[k], …
+// until -1.
+type demandDiff struct {
+	cols      []int
+	head      []int32
+	next, src []int32
+}
+
+// reset empties the diff for an n-node matrix.
+func (d *demandDiff) reset(n int) {
+	if len(d.head) != n {
+		d.head = make([]int32, n)
+		d.cols = d.cols[:0]
+		for t := range d.head {
+			d.head[t] = -1
+		}
+	}
+	for _, t := range d.cols {
+		d.head[t] = -1
+	}
+	d.cols, d.next, d.src = d.cols[:0], d.next[:0], d.src[:0]
+}
+
+// add records that entry (src, t) changed.
+func (d *demandDiff) add(src, t int) {
+	if d.head[t] < 0 {
+		d.cols = append(d.cols, t)
+	}
+	d.next = append(d.next, d.head[t])
+	d.head[t] = int32(len(d.src))
+	d.src = append(d.src, int32(src))
+}
+
+// seed adds column t's changed sources to the worker's seed set.
+func (d *demandDiff) seed(wk *sesWorker, t int) {
+	for k := d.head[t]; k >= 0; k = d.next[k] {
+		wk.seed(d.src[k])
+	}
+}
+
+// diff records every entry on which cur and next differ.
+func (d *demandDiff) diff(cur, next *traffic.Matrix) {
+	n := cur.Size()
+	d.reset(n)
+	if cur == next {
+		return
+	}
+	for src := 0; src < n; src++ {
+		for t := 0; t < n; t++ {
+			if cur.At(src, t) != next.At(src, t) {
+				d.add(src, t)
+			}
+		}
+	}
+	slices.Sort(d.cols)
 }
 
 // applyDeltaClass folds one class's delta into the session's matrix —
 // clone-on-write, since the current matrix may be shared with the
-// evaluator or a caller — and returns the destination columns whose
-// values actually changed, ascending.
-func (s *Session) applyDeltaClass(m **traffic.Matrix, owned *bool, d *traffic.Delta, cols []int) []int {
-	cols = cols[:0]
-	if d.Len() == 0 {
-		return cols
-	}
+// evaluator or a caller — and records the entries whose values actually
+// changed in diff.
+func applyDeltaClass(m **traffic.Matrix, owned *bool, d *traffic.Delta, diff *demandDiff) {
 	cur := *m
-	changes := false
-	for _, e := range d.Entries {
-		if cur.At(e.S, e.T) != e.New {
-			changes = true
-			break
-		}
+	diff.reset(cur.Size())
+	if d == nil {
+		return
 	}
-	if !changes {
-		return cols
-	}
-	if !*owned {
-		if mm := met.Get(); mm != nil {
-			mm.demandClones.Inc()
-		}
-		cur = cur.Clone()
-		*m = cur
-		*owned = true
-	}
-	s.colEpoch++
 	for _, e := range d.Entries {
 		if cur.At(e.S, e.T) == e.New {
 			continue
 		}
-		cur.Set(e.S, e.T, e.New)
-		if s.colMark[e.T] != s.colEpoch {
-			s.colMark[e.T] = s.colEpoch
-			cols = append(cols, e.T)
-		}
-	}
-	sort.Ints(cols)
-	return cols
-}
-
-// changedColumns lists the destination columns on which the two
-// matrices differ, ascending.
-func changedColumns(cur, next *traffic.Matrix, out []int) []int {
-	out = out[:0]
-	if cur == next {
-		return out
-	}
-	n := cur.Size()
-	for t := 0; t < n; t++ {
-		for src := 0; src < n; src++ {
-			if cur.At(src, t) != next.At(src, t) {
-				out = append(out, t)
-				break
+		if !*owned {
+			if mm := met.Get(); mm != nil {
+				mm.demandClones.Inc()
 			}
+			cur = cur.Clone()
+			*m = cur
+			*owned = true
 		}
+		cur.Set(e.S, e.T, e.New)
+		diff.add(e.S, e.T)
 	}
-	return out
+	slices.Sort(diff.cols)
 }

@@ -87,14 +87,14 @@ func (s *Session) SetLinkStates(changes []LinkStateChange) Result {
 
 	// Last-wins dedup of repeated links, dropping flips that restate the
 	// current state.
-	s.markEpoch++
+	ep := s.nextMarkEpoch()
 	s.lsChanges = s.lsChanges[:0]
 	for i := len(changes) - 1; i >= 0; i-- {
 		c := changes[i]
-		if s.linkMark[c.Link] == s.markEpoch {
+		if s.linkMark[c.Link] == ep {
 			continue
 		}
-		s.linkMark[c.Link] = s.markEpoch
+		s.linkMark[c.Link] = ep
 		if c.Up == !s.mask.LinkFailed(c.Link) {
 			continue
 		}

@@ -1,35 +1,40 @@
 package routing
 
 // Parallel session recompute: the per-destination work of Init and
-// recompute — SPF repairs, DAG rebuilds, load-contribution refreshes and
+// recompute — SPF repairs, DAG patches, load-contribution refreshes and
 // the Λ delay DP — is embarrassingly parallel (every destination touches
 // only its own caches), while every cross-destination floating-point sum
-// stays serial and in ascending destination/link order. Results are
-// therefore bit-identical at any parallelism level: the parallel regions
-// only fill per-destination (or per-link) slots, and the deterministic
-// serial merge adds them in the exact order the from-scratch pass does.
+// keeps the ascending destination order of the from-scratch pass.
+// Results are therefore bit-identical at any parallelism level: the
+// parallel regions only fill per-destination (or per-link) slots, and
+// each link's load is still summed 0 + c₀ + c₁ + … in ascending t.
 //
 // The structure is three regions per recompute, with serial glue between
 // them:
 //
-//	prep (serial)      stash undo state, pop free-list buffers, build tasks
-//	region 1           per-destination refresh (repair, DAG, contributions)
-//	merge (serial)     dedup the workers' changed-link candidates
-//	region 2           per-link load re-sum over destinations (t ascending)
+//	prep (serial)      stash SPF snapshots, pop free-list buffers, build tasks
+//	region 1           per-destination seeded refresh (repair, DAG patch,
+//	                   in-place contributions, logged per worker slot)
+//	merge (serial)     the logs' changed links per class, sorted
+//	region 2           changed-link re-sum, destination-major per link chunk
 //	glue (serial)      dropped-demand sum, linkPass, delay diff, needDP
 //	region 3           per-destination Λ delay DP
 //	tail (serial)      final t-ascending Λ/violation sums
 //
-// Worker scratch (a private spf.Workspace plus demand/flow/delay buffers
-// and a changed-link candidate list) comes from a free list on the
-// Evaluator, so the many sessions an optimizer or selector keeps share
-// one pool and steady-state operation allocates nothing.
+// Worker scratch (a private spf.Workspace plus demand, delay and
+// seeded-refresh buffers) comes from a free list on the Evaluator, so the
+// many sessions an optimizer or selector keeps share one pool and
+// steady-state operation allocates nothing. The contribution logs are
+// the session's own, one per worker slot, because Revert replays them
+// after the workers have gone back to the pool.
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/spf"
 )
 
@@ -40,49 +45,31 @@ import (
 type sesWorker struct {
 	ws     *spf.Workspace
 	demCol []float64
-	flow   []float64
 	delays []float64
 
-	// Changed-link candidates collected during region 1, deduplicated
-	// worker-locally via the epoch-marked lmark array and merged
-	// serially (and deterministically) after the region.
-	cand  []int
-	lmark []int32
-	epoch int32
+	// Seeded-refresh scratch (see refresh.go): epoch-marked seed and
+	// dirty flags per node, the seed and moved-node lists, and one node's
+	// on-DAG out-links (sized to the largest out-degree).
+	seedMark, dirty []int32
+	epoch           int32
+	seeds, moved    []int32
+	dagOut          []int32
 }
 
-// markChanged records every link whose contribution term differs between
-// the old and new vectors into the worker's candidate list, deduplicated
-// across this recompute's calls via the worker-local epoch mark.
-func (wk *sesWorker) markChanged(old, cur []float64) {
-	for li := range old {
-		if old[li] != cur[li] && wk.lmark[li] != wk.epoch {
-			wk.lmark[li] = wk.epoch
-			wk.cand = append(wk.cand, li)
-		}
+func newSesWorker(g *graph.Graph) *sesWorker {
+	n := g.NumNodes()
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, g.OutDegree(v))
 	}
-}
-
-// markChangedLinks is markChanged restricted to a candidate link list
-// (the only places a contribution can differ).
-func (wk *sesWorker) markChangedLinks(links []int32, old, cur []float64) {
-	for _, li := range links {
-		if old[li] != cur[li] && wk.lmark[li] != wk.epoch {
-			wk.lmark[li] = wk.epoch
-			wk.cand = append(wk.cand, int(li))
-		}
+	return &sesWorker{
+		ws:       spf.NewWorkspace(g),
+		demCol:   make([]float64, n),
+		delays:   make([]float64, n),
+		seedMark: make([]int32, n),
+		dirty:    make([]int32, n),
+		dagOut:   make([]int32, maxDeg),
 	}
-}
-
-// nextEpoch advances the worker's candidate-dedup epoch, clearing the
-// mark array on wraparound.
-func (wk *sesWorker) nextEpoch() {
-	if wk.epoch == int32(1<<31-1) {
-		clear(wk.lmark)
-		wk.epoch = 0
-	}
-	wk.epoch++
-	wk.cand = wk.cand[:0]
 }
 
 // getSesWorker pops a worker from the evaluator's shared free list,
@@ -96,14 +83,7 @@ func (e *Evaluator) getSesWorker() *sesWorker {
 		return wk
 	}
 	e.wkMu.Unlock()
-	n, m := e.g.NumNodes(), e.g.NumLinks()
-	return &sesWorker{
-		ws:     spf.NewWorkspace(e.g),
-		demCol: make([]float64, n),
-		flow:   make([]float64, n),
-		delays: make([]float64, n),
-		lmark:  make([]int32, m),
-	}
+	return newSesWorker(e.g)
 }
 
 // putSesWorkers returns borrowed workers to the shared free list.
@@ -130,22 +110,25 @@ func (s *Session) SetParallelism(k int) {
 }
 
 // destTask is one region-1 task: refresh destination t's caches for one
-// class. oldIdx indexes the undo stash of the task's class (-1 on the
-// dense demand path, which refreshes in place with no undo).
+// class. idx indexes the undo stash of the task's class (link changes
+// only; a demand update stashes nothing).
 type destTask struct {
-	t      int32
-	oldIdx int32
-	kind   int8
+	t    int32
+	idx  int32
+	kind int8
 }
 
 const (
-	taskDelayFull  int8 = iota // repair delay SPF + DAG + contribution
-	taskDelayDAG               // DAG/contribution refresh, distances kept
-	taskThruFull               // repair throughput SPF + contribution
-	taskThruDAG                // contribution refresh, distances kept
-	taskDelayDense             // dense demand path: contribution in place
-	taskThruDense              // dense demand path: contribution in place
+	taskDelayFull   int8 = iota // repair delay SPF, patch DAG, refresh
+	taskDelayDAG                // patch DAG at the batch tails, refresh
+	taskThruFull                // repair throughput SPF, refresh
+	taskThruDAG                 // refresh from the batch tails
+	taskDelayDemand             // refresh from the changed sources
+	taskThruDemand              // refresh from the changed sources
 )
+
+// resumChunk is the number of links one region-2 task re-sums.
+const resumChunk = 128
 
 // Region identifiers for the shared worker loop.
 const (
@@ -167,13 +150,17 @@ type parRun struct {
 }
 
 // beginPar borrows enough workers for the session's parallelism level
-// and resets every worker's candidate list and dedup epoch.
+// and empties every contribution log slot: a new recompute commits the
+// previous one.
 func (s *Session) beginPar() {
 	for len(s.workers) < s.parK {
 		s.workers = append(s.workers, s.e.getSesWorker())
 	}
-	for _, wk := range s.workers {
-		wk.nextEpoch()
+	for len(s.logs) < len(s.workers) {
+		s.logs = append(s.logs, nil)
+	}
+	for i := range s.logs {
+		s.logs[i] = s.logs[i][:0]
 	}
 }
 
@@ -222,12 +209,12 @@ func (s *Session) runRegion(region, ntasks int) int {
 		}
 		wsp := rsp.Child("session.worker")
 		wsp.SetWorker(0)
-		wsp.SetAttr("tasks", int64(s.regionLoop(s.workers[0])))
+		wsp.SetAttr("tasks", int64(s.regionLoop(0)))
 		wsp.End()
 		s.pr.wg.Wait()
 		s.spRegion = nil
 	} else {
-		s.regionLoop(s.workers[0])
+		s.regionLoop(0)
 	}
 	rsp.End()
 	return k
@@ -237,15 +224,16 @@ func (s *Session) parBody() {
 	i := s.pr.widx.Add(1)
 	wsp := s.spRegion.Child("session.worker")
 	wsp.SetWorker(int(i))
-	wsp.SetAttr("tasks", int64(s.regionLoop(s.workers[i])))
+	wsp.SetAttr("tasks", int64(s.regionLoop(int(i))))
 	wsp.End()
 	s.pr.wg.Done()
 }
 
-// regionLoop pulls tasks off the shared counter until the region is
-// drained, returning how many tasks this worker ran (the busy share its
-// task span reports).
-func (s *Session) regionLoop(wk *sesWorker) int {
+// regionLoop pulls tasks off the shared counter for worker slot until
+// the region is drained, returning how many tasks this worker ran (the
+// busy share its task span reports).
+func (s *Session) regionLoop(slot int) int {
+	wk := s.workers[slot]
 	region, ntasks := s.pr.region, int(s.pr.ntasks)
 	done := 0
 	for {
@@ -256,7 +244,7 @@ func (s *Session) regionLoop(wk *sesWorker) int {
 		done++
 		switch region {
 		case regionDests:
-			s.destTaskRun(i, wk)
+			s.destTaskRun(i, wk, &s.logs[slot])
 		case regionInit:
 			s.initTaskRun(i, wk)
 		case regionLinks:
@@ -268,56 +256,50 @@ func (s *Session) regionLoop(wk *sesWorker) int {
 }
 
 // destTaskRun refreshes one destination's caches for one class (a
-// region-1 task). It touches only the task's own per-destination slots
-// plus the worker's private scratch, so tasks run concurrently without
-// synchronization; the changed-link candidates it discovers go to the
-// worker's list for the deterministic serial merge.
-func (s *Session) destTaskRun(i int, wk *sesWorker) {
+// region-1 task). It touches only the task's own per-destination slots,
+// the worker's private scratch and the worker slot's log, so tasks run
+// concurrently without synchronization. On the dense demand path the
+// refresh runs without a log (region 2 re-sums every link instead).
+func (s *Session) destTaskRun(i int, wk *sesWorker, log *[]contribLog) {
 	tk := s.tasks[i]
 	t := int(tk.t)
 	u := &s.undo
 	g := s.e.g
+	if s.denseCols {
+		log = nil
+	}
+	wk.beginRefresh()
 	switch tk.kind {
 	case taskDelayFull, taskDelayDAG:
 		dc := &s.dDest[t]
-		old := &u.oldDDest[tk.oldIdx]
+		old := &u.oldDDest[tk.idx]
 		dc.state.CopyFrom(&old.state)
-		if tk.kind == taskDelayFull {
-			dc.state.RepairBatch(wk.ws, g, s.w.Delay, s.batchD, s.mask)
+		if tk.kind == taskDelayFull && dc.state.RepairBatch(wk.ws, g, s.w.Delay, s.batchD, s.mask) {
+			s.seedMoved(wk, old.state.Dist, dc.state.Dist)
 		}
-		s.buildDAG(dc)
-		nc := s.dContrib[t]
-		demandColumn(s.demD, t, s.skipNode, wk.demCol)
-		s.accumulateDelayLoads(dc, wk.demCol, wk.flow, nc)
-		oldC := u.oldDContrib[tk.oldIdx]
-		wk.markChangedLinks(old.dagLinks, oldC, nc)
-		wk.markChangedLinks(dc.dagLinks, oldC, nc)
+		s.seedBatch(wk, s.batchD)
+		slices.Sort(wk.seeds)
+		s.buildDAG(dc, old, wk.seeds)
+		s.refreshLoads(wk, t, false, s.batchD, log)
 	case taskThruFull, taskThruDAG:
-		if tk.kind == taskThruFull {
-			// The throughput refresh accumulates loads off the workspace,
-			// so repair the snapshot inside it: restore the pre-change
-			// state, repair in place, save the result.
-			wk.ws.Restore(&u.oldTStates[tk.oldIdx])
-			wk.ws.RepairBatch(g, s.w.Throughput, s.batchT, s.mask)
-			wk.ws.Save(&s.tStates[t])
-		} else {
-			s.tStates[t].CopyFrom(&u.oldTStates[tk.oldIdx])
-			wk.ws.Restore(&s.tStates[t])
+		st := &s.tStates[t]
+		old := &u.oldTStates[tk.idx]
+		st.CopyFrom(old)
+		if tk.kind == taskThruFull && st.RepairBatch(wk.ws, g, s.w.Throughput, s.batchT, s.mask) {
+			s.seedMoved(wk, old.Dist, st.Dist)
 		}
-		nc := s.tContrib[t]
-		demandColumn(s.demT, t, s.skipNode, wk.demCol)
-		s.tDropped[t] = wk.ws.AccumulateLoadsInto(g, s.w.Throughput, wk.demCol, s.mask, nc)
-		wk.markChanged(u.oldTContrib[tk.oldIdx], nc)
-	case taskDelayDense:
-		// Dense demand path: distances and DAG are untouched, the
-		// contribution is recomputed in place (region 2 re-sums every
-		// link, so no changed-link discovery is needed).
-		demandColumn(s.demD, t, s.skipNode, wk.demCol)
-		s.accumulateDelayLoads(&s.dDest[t], wk.demCol, wk.flow, s.dContrib[t])
-	case taskThruDense:
-		wk.ws.Restore(&s.tStates[t])
-		demandColumn(s.demT, t, s.skipNode, wk.demCol)
-		s.tDropped[t] = wk.ws.AccumulateLoadsInto(g, s.w.Throughput, wk.demCol, s.mask, s.tContrib[t])
+		s.seedBatch(wk, s.batchT)
+		s.refreshLoads(wk, t, true, s.batchT, log)
+		s.tDropped[t] = s.droppedDemand(t)
+	case taskDelayDemand:
+		// Distances and DAGs are untouched by demand moves: refresh in
+		// place from the column's changed sources.
+		s.diffD.seed(wk, t)
+		s.refreshLoads(wk, t, false, nil, log)
+	case taskThruDemand:
+		s.diffT.seed(wk, t)
+		s.refreshLoads(wk, t, true, nil, log)
+		s.tDropped[t] = s.droppedDemand(t)
 	}
 }
 
@@ -330,7 +312,7 @@ func (s *Session) initTaskRun(i int, wk *sesWorker) {
 	// Delay class.
 	wk.ws.Run(g, s.w.Delay, t, s.mask)
 	wk.ws.Save(&dc.state)
-	s.buildDAG(dc)
+	s.buildDAG(dc, nil, nil)
 	demandColumn(s.demD, t, s.skipNode, wk.demCol)
 	wk.ws.AccumulateLoadsInto(g, s.w.Delay, wk.demCol, s.mask, s.dContrib[t])
 	// Throughput class.
@@ -340,26 +322,46 @@ func (s *Session) initTaskRun(i int, wk *sesWorker) {
 	s.tDropped[t] = wk.ws.AccumulateLoadsInto(g, s.w.Throughput, wk.demCol, s.mask, s.tContrib[t])
 }
 
-// linkTaskRun re-sums one changed link's class loads over all
-// destinations in ascending order — the same order the from-scratch pass
+// linkTaskRun re-sums one chunk of changed links (a region-2 task):
+// chunks of s.resumD first, then of s.resumT. The sum is
+// destination-major — t is the outer loop — but each link is still
+// summed 0 + c₀ + c₁ + … in ascending t, the order the from-scratch pass
 // adds them, so unchanged terms reproduce the exact same floating-point
-// sums. Each task owns its link's slots; concurrent tasks never touch
+// sums. Each task owns its links' slots; concurrent tasks never touch
 // the same memory.
 func (s *Session) linkTaskRun(i int) {
-	li := i
-	if !s.resumAll {
-		li = s.chgLinks[i]
+	loads, contrib, links := s.loadD, s.dContrib, s.resumD
+	if nd := (len(s.resumD) + resumChunk - 1) / resumChunk; i >= nd {
+		i -= nd
+		loads, contrib, links = s.loadT, s.tContrib, s.resumT
 	}
-	n := s.e.g.NumNodes()
-	var sumD, sumT float64
-	for t := 0; t < n; t++ {
+	links = links[i*resumChunk : min((i+1)*resumChunk, len(links))]
+	if lo, hi := int(links[0]), int(links[len(links)-1])+1; hi-lo == len(links) {
+		// A run of consecutive links (every link, on the dense demand
+		// path): index the rows directly.
+		run := loads[lo:hi]
+		clear(run)
+		for t, c := range contrib {
+			if !s.alive(t) {
+				continue
+			}
+			for j, x := range c[lo:hi] {
+				run[j] += x
+			}
+		}
+		return
+	}
+	for _, li := range links {
+		loads[li] = 0
+	}
+	for t, c := range contrib {
 		if !s.alive(t) {
 			continue
 		}
-		sumD += s.dContrib[t][li]
-		sumT += s.tContrib[t][li]
+		for _, li := range links {
+			loads[li] += c[li]
+		}
 	}
-	s.loadD[li], s.loadT[li] = sumD, sumT
 }
 
 // lambdaTaskRun redoes one destination's Λ delay DP (a region-3 task).

@@ -142,8 +142,8 @@ func TestSetParallelismBounds(t *testing.T) {
 // TestSessionSteadyStateAllocs pins the pooled-scratch contract: once a
 // session (at parallelism 4) has warmed up every event path, further
 // Apply/Revert cycles, link toggles, batched link events and demand
-// deltas allocate nothing. Per-worker scratch, undo stashes, task lists
-// and changed-link candidate buffers must all come from pools.
+// deltas allocate nothing. Per-worker scratch, undo stashes, task lists,
+// contribution logs and changed-link buffers must all come from pools.
 func TestSessionSteadyStateAllocs(t *testing.T) {
 	ev := sessionTestEvaluator(t, topogen.RandKind, 30, 150, 56)
 	g := ev.Graph()

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math"
+
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/obsv"
@@ -23,10 +25,11 @@ import (
 // touching distances), and even those destinations are not re-solved
 // from scratch: their snapshots are repaired in place (Ramalingam–Reps
 // incremental SPF, spf.State.RepairBatch with a batch of one),
-// revisiting only the vertices whose distance actually moved. Apply then
-// folds the new contributions into the link loads and re-runs the delay
-// DP only for destinations whose DAG changed or crosses a link whose
-// delay value moved. Revert undoes the last Apply exactly. Demand
+// revisiting only the vertices whose distance actually moved. Their load
+// contributions are refreshed in place only downstream of what moved
+// (refresh.go); Apply then re-sums the changed links' loads and re-runs
+// the delay DP only for destinations whose DAG changed or crosses a link
+// whose delay value moved. Revert undoes the last Apply exactly. Demand
 // updates (SetDemands, ApplyDemandDelta; see demand.go) never touch
 // shortest-path state at all: weights are unchanged, so only the
 // destination columns whose demands moved recompute their load
@@ -36,9 +39,10 @@ import (
 //
 // Every Apply/Init result is bit-identical to what the stateless
 // Evaluator.Evaluate computes for the same weights and scenario: the
-// session shares the evaluator's pipeline primitives (AccumulateLoadsInto,
-// linkPass, destLambda) and re-sums cached per-destination terms in the
-// same order the from-scratch pass visits them. See DESIGN.md
+// session shares the evaluator's pipeline primitives (AccumulateLoadsInto
+// in Init, linkPass, destLambda), its partial refresh reproduces
+// AccumulateLoadsInto bit for bit, and it re-sums cached per-destination
+// terms in the same order the from-scratch pass visits them. See DESIGN.md
 // ("The incremental evaluation engine") for the invariants.
 //
 // Detail fields of Result are never filled. A Session is not safe for
@@ -82,30 +86,33 @@ type Session struct {
 	res                   Result
 
 	// Scratch.
-	affD, affT []int // destinations needing a fresh Dijkstra
-	dagD, dagT []int // destinations needing only a DAG/load refresh
-	chgLinks   []int
-	linkMark   []int32
-	markEpoch  int32
-	needDP     []bool
-	colMark    []int32 // per-destination dedup marks for demand deltas
-	colEpoch   int32
-	chgColsD   []int // changed demand columns per class, ascending
-	chgColsT   []int
+	affD, affT     []int // destinations needing an SPF repair
+	dagD, dagT     []int // destinations needing only a DAG/load refresh
+	chgLinks       []int
+	linkMark       []int32
+	markEpoch      int32
+	needDP         []bool
+	resumD, resumT []int32 // region 2's links per class, ascending
+	chgMark        []uint8 // changedLinks scratch, all zero between calls
 
 	// Parallel-recompute state (see parallel.go). self is worker 0 — the
 	// session's own scratch buffers, the only worker the serial path
 	// touches; extra workers are borrowed from the evaluator's shared
 	// free list while a recompute's parallel regions run.
-	parK     int // worker budget; 1 = serial (the default)
-	self     sesWorker
-	workers  []*sesWorker
-	tasks    []destTask
-	lamQ     []int // Init's alive-destination list
-	lamRun   []int // region 3's task list (u.lamDests or lamQ)
-	pr       parRun
-	parGo    func() // parBody pre-bound once, so spawns allocate nothing
-	resumAll bool   // region 2 re-sums every link (dense demand path)
+	parK    int // worker budget; 1 = serial (the default)
+	self    sesWorker
+	workers []*sesWorker
+	tasks   []destTask
+	lamQ    []int // Init's alive-destination list
+	lamRun  []int // region 3's task list (u.lamDests or lamQ)
+	pr      parRun
+	parGo   func() // parBody pre-bound once, so spawns allocate nothing
+
+	// logs[i] is worker slot i's contribution undo log for the last
+	// recompute (see refresh.go): the in-place writes of region 1, whose
+	// links are region 2's changed-link set and which Revert replays
+	// backwards.
+	logs [][]contribLog
 
 	// Link changes (see linkbatch.go). batchD and batchT describe the
 	// link event driving the current recompute in each class's effective
@@ -120,13 +127,15 @@ type Session struct {
 	lsEpoch        int32
 	batchD, batchT []spf.LinkChange
 
-	// Dense demand path (see demand.go): when a demand update moves more
-	// than denseFrac of the 2n columns, changed columns refresh in place
-	// and every link load is re-summed, skipping per-column undo
-	// bookkeeping and changed-link discovery.
-	denseFrac      float64
-	denseCols      bool
-	denseD, denseT []int
+	// Demand updates (see demand.go): diffD and diffT group the changed
+	// demand entries of each class by destination column; demandUpd
+	// marks a recompute driven by them. When an update moves more than
+	// denseFrac of the 2n columns, denseCols makes the refresh run
+	// without a log and region 2 re-sum every link.
+	diffD, diffT demandDiff
+	demandUpd    bool
+	denseFrac    float64
+	denseCols    bool
 
 	// Span tracing (see span.go). spanTrace == 0 (the default) keeps the
 	// session span-silent; spRoot is the open update root span and
@@ -136,12 +145,11 @@ type Session struct {
 	spRoot                *obsv.Span
 	spRegion              *obsv.Span
 
-	undo        undoState
-	freeDest    []delayDest
-	freeStates  []spf.State
-	freeContrib [][]float64
-	canRevert   bool
-	inited      bool
+	undo       undoState
+	freeDest   []delayDest
+	freeStates []spf.State
+	canRevert  bool
+	inited     bool
 }
 
 // delayDest is one destination's delay-class cache: the SPF snapshot plus
@@ -158,7 +166,8 @@ type delayDest struct {
 }
 
 // undoState holds everything needed to restore the session to its exact
-// pre-Apply state.
+// pre-Apply state, apart from the contributions, which the session's
+// per-slot logs restore.
 type undoState struct {
 	link         int
 	prevD, prevT int32
@@ -169,8 +178,6 @@ type undoState struct {
 	affD, affT  []int
 	oldDDest    []delayDest
 	oldTStates  []spf.State
-	oldDContrib [][]float64
-	oldTContrib [][]float64
 	oldTDropped []float64
 
 	lamDests         []int
@@ -212,20 +219,14 @@ func (e *Evaluator) NewSession(mask *graph.Mask, skipNode int) *Session {
 		linkDelay:  make([]float64, m),
 		linkUtil:   make([]float64, m),
 		linkMark:   make([]int32, m),
+		chgMark:    make([]uint8, m),
 		needDP:     make([]bool, n),
-		colMark:    make([]int32, n),
 		lsMark:     make([]int32, m),
 		parK:       1,
 		rebaseFrac: demandRebaseFracDefault,
 		denseFrac:  demandDenseFracDefault,
 	}
-	s.self = sesWorker{
-		ws:     spf.NewWorkspace(e.g),
-		demCol: make([]float64, n),
-		flow:   make([]float64, n),
-		delays: make([]float64, n),
-		lmark:  make([]int32, m),
-	}
+	s.self = *newSesWorker(e.g)
 	s.workers = append(s.workers, &s.self)
 	s.parGo = s.parBody
 	return s
@@ -405,17 +406,15 @@ func (s *Session) Apply(l int, wd, wt int32) Result {
 }
 
 // recompute re-evaluates the session after the affected destinations of
-// each class have been classified into s.affD/s.dagD (delay: fresh
-// Dijkstra vs DAG-only refresh) and s.affT/s.dagT (throughput), stashing
-// everything it overwrites into u so Revert can restore it. It is the
-// shared tail of Apply (weight moves) and SetLinkStates (topology moves);
-// the caller must already have committed the triggering change (weights
-// or mask) to the session.
+// each class have been classified into s.affD/s.dagD (delay: SPF repair
+// vs DAG-only refresh) and s.affT/s.dagT (throughput) — or, for a demand
+// update (s.demandUpd), after s.diffD/s.diffT have collected the changed
+// demand entries — recording everything it overwrites into u and the
+// contribution logs so Revert can restore it. It is the shared tail of
+// Apply (weight moves), SetLinkStates (topology moves) and the demand
+// updates; the caller must already have committed the triggering change
+// (weights, mask or matrices) to the session.
 func (s *Session) recompute(u *undoState) {
-	if m := met.Get(); m != nil {
-		m.destsRepair.Add(int64(len(s.affD) + len(s.affT)))
-		m.destsDAGOnly.Add(int64(len(s.dagD) + len(s.dagT)))
-	}
 	e, g := s.e, s.e.g
 	n := g.NumNodes()
 
@@ -429,73 +428,66 @@ func (s *Session) recompute(u *undoState) {
 	u.affD = append(append(u.affD[:0], s.affD...), s.dagD...)
 	u.affT = append(append(u.affT[:0], s.affT...), s.dagT...)
 
-	// Serial prep: stash the old per-destination caches and pop their
-	// replacements from the free lists in a fixed order (affD, dagD,
-	// affT, dagT — the order Revert indexes the stash by), building the
-	// task list for region 1. On the dense demand path the changed
-	// columns refresh in place instead: no stash, no undo.
+	// Serial prep: build region 1's task list. A link change stashes the
+	// old SPF snapshots (and delay DAGs) and pops their replacements from
+	// the free lists in a fixed order (affD, dagD, affT, dagT — the order
+	// Revert indexes the stash by); contributions are refreshed in place.
+	// A demand update leaves SPF state alone and needs no stash.
 	s.tasks = s.tasks[:0]
-	thruTouched := false
-	if s.denseCols {
-		for _, t := range s.denseD {
+	if s.demandUpd {
+		for _, t := range s.diffD.cols {
 			if s.alive(t) {
-				s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: -1, kind: taskDelayDense})
+				s.tasks = append(s.tasks, destTask{t: int32(t), kind: taskDelayDemand})
 			}
 		}
-		for _, t := range s.denseT {
+		for _, t := range s.diffT.cols {
 			if s.alive(t) {
-				s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: -1, kind: taskThruDense})
-				thruTouched = true
+				s.tasks = append(s.tasks, destTask{t: int32(t), kind: taskThruDemand})
 			}
 		}
 	} else {
-		for i, t := range s.affD {
+		for i, t := range u.affD {
 			u.oldDDest = append(u.oldDDest, s.dDest[t])
 			s.dDest[t] = s.newDest()
-			u.oldDContrib = append(u.oldDContrib, s.dContrib[t])
-			s.dContrib[t] = s.newContrib()
-			s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(i), kind: taskDelayFull})
+			kind := taskDelayFull
+			if i >= len(s.affD) {
+				kind = taskDelayDAG
+			}
+			s.tasks = append(s.tasks, destTask{t: int32(t), idx: int32(i), kind: kind})
 		}
-		base := len(s.affD)
-		for j, t := range s.dagD {
-			u.oldDDest = append(u.oldDDest, s.dDest[t])
-			s.dDest[t] = s.newDest()
-			u.oldDContrib = append(u.oldDContrib, s.dContrib[t])
-			s.dContrib[t] = s.newContrib()
-			s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(base + j), kind: taskDelayDAG})
-		}
-		for i, t := range s.affT {
+		for i, t := range u.affT {
 			u.oldTStates = append(u.oldTStates, s.tStates[t])
 			s.tStates[t] = s.newState()
-			u.oldTContrib = append(u.oldTContrib, s.tContrib[t])
-			s.tContrib[t] = s.newContrib()
 			u.oldTDropped = append(u.oldTDropped, s.tDropped[t])
-			s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(i), kind: taskThruFull})
+			kind := taskThruFull
+			if i >= len(s.affT) {
+				kind = taskThruDAG
+			}
+			s.tasks = append(s.tasks, destTask{t: int32(t), idx: int32(i), kind: kind})
 		}
-		base = len(s.affT)
-		for j, t := range s.dagT {
-			u.oldTStates = append(u.oldTStates, s.tStates[t])
-			s.tStates[t] = s.newState()
-			u.oldTContrib = append(u.oldTContrib, s.tContrib[t])
-			s.tContrib[t] = s.newContrib()
-			u.oldTDropped = append(u.oldTDropped, s.tDropped[t])
-			s.tasks = append(s.tasks, destTask{t: int32(t), oldIdx: int32(base + j), kind: taskThruDAG})
-		}
-		thruTouched = len(s.affT)+len(s.dagT) > 0
 	}
 
-	// Region 1: refresh the affected destinations. Dijkstra-required
-	// recomputes repair the pre-change snapshot with spf.RepairBatch
+	// Every task without an SPF repair (a demand column included) counts
+	// as a DAG-only refresh.
+	repair := len(s.affD) + len(s.affT)
+	if m := met.Get(); m != nil {
+		m.destsRepair.Add(int64(repair))
+		m.destsDAGOnly.Add(int64(len(s.tasks) - repair))
+	}
+
+	// Region 1: refresh the affected destinations. Repair-required ones
+	// repair the pre-change snapshot with spf.RepairBatch
 	// (Ramalingam–Reps; see spf/batch.go); membership-only ones keep the
-	// (provably unchanged) distances and just refresh the DAG and the
-	// ECMP load split. Each task touches only its destination's slots;
-	// changed-link candidates go to per-worker lists.
+	// (provably unchanged) distances. Either way the DAG is patched and
+	// the contribution refreshed only where something moved (refresh.go).
+	// Each task touches only its destination's slots; its writes go to
+	// its worker slot's log.
 	s.beginPar()
 	root := s.spRoot
 	var spfBase spf.RepairStats
 	if root != nil {
-		root.SetAttr("dests_repair", int64(len(s.affD)+len(s.affT)))
-		root.SetAttr("dests_dag_only", int64(len(s.dagD)+len(s.dagT)))
+		root.SetAttr("dests_repair", int64(repair))
+		root.SetAttr("dests_dag_only", int64(len(s.tasks)-repair))
 		spfBase = s.workerStats()
 	}
 	s.countDestTasks(s.runRegion(regionDests, len(s.tasks)), len(s.tasks))
@@ -509,34 +501,41 @@ func (s *Session) recompute(u *undoState) {
 		root.SetAttr("changed_nodes", int64(d.ChangedNodes))
 	}
 
-	// Serial merge: deduplicate the workers' changed-link candidates in
-	// worker order. Only the resulting set matters — each changed link's
-	// re-sum below is independent and deterministic.
-	s.markEpoch++
-	s.chgLinks = s.chgLinks[:0]
-	s.resumAll = s.denseCols
-	nlinks := 0
-	if s.resumAll {
-		nlinks = len(s.loadD)
-	} else {
-		for _, wk := range s.workers {
-			for _, li := range wk.cand {
-				if s.linkMark[li] != s.markEpoch {
-					s.linkMark[li] = s.markEpoch
-					s.chgLinks = append(s.chgLinks, li)
-				}
+	// Serial merge: each class's changed links from the logs, sorted. The
+	// dense demand path logs nothing and re-sums every link of each
+	// touched class instead. Every delay-class refresh also flags its
+	// destination for the Λ pass: its DAG or its demand column changed
+	// (Λ weighs pairs by demand).
+	delayTouched, thruTouched := false, false
+	for _, tk := range s.tasks {
+		switch tk.kind {
+		case taskThruFull, taskThruDAG, taskThruDemand:
+			thruTouched = true
+		default:
+			delayTouched = true
+			s.needDP[tk.t] = true
+		}
+	}
+	s.resumD, s.resumT = s.resumD[:0], s.resumT[:0]
+	if s.denseCols {
+		for li := range s.loadD {
+			if delayTouched {
+				s.resumD = append(s.resumD, int32(li))
+			}
+			if thruTouched {
+				s.resumT = append(s.resumT, int32(li))
 			}
 		}
-		nlinks = len(s.chgLinks)
+	} else {
+		s.changedLinks()
 	}
 
 	// Region 2: re-sum the changed links' class loads over all
 	// destinations in ascending order — the same order the from-scratch
 	// pass adds them, so unchanged terms reproduce the exact same
-	// floating-point sums. (The dense path re-sums every link, which is
-	// Init's exact per-link addition order.)
-	s.runRegion(regionLinks, nlinks)
-	s.resumAll = false
+	// floating-point sums.
+	chunks := (len(s.resumD)+resumChunk-1)/resumChunk + (len(s.resumT)+resumChunk-1)/resumChunk
+	s.runRegion(regionLinks, chunks)
 	if thruTouched {
 		var sum float64
 		for t := 0; t < n; t++ {
@@ -553,33 +552,15 @@ func (s *Session) recompute(u *undoState) {
 	phi, maxUtil, sumUtil, aliveLinks := e.linkPass(s.loadD, s.loadT, s.loadTot, s.linkDelay, s.linkUtil, s.mask)
 	phi += s.droppedT * phiDropPenaltyPerMbps
 
-	s.chgLinks = s.chgLinks[:0] // reuse for delay-changed links
+	s.chgLinks = s.chgLinks[:0]
 	for li := range s.linkDelay {
 		if s.linkDelay[li] != u.linkDelay[li] {
 			s.chgLinks = append(s.chgLinks, li)
 		}
 	}
 
-	// The Λ pass must be redone for destinations whose DAG changed, for
-	// destinations whose demand column changed (Λ weighs pairs by
-	// demand), and for destinations whose (unchanged) DAG crosses a link
-	// whose delay changed.
-	for i := range s.needDP {
-		s.needDP[i] = false
-	}
-	for _, t := range s.affD {
-		s.needDP[t] = true
-	}
-	for _, t := range s.dagD {
-		s.needDP[t] = true
-	}
-	if s.denseCols {
-		for _, t := range s.denseD {
-			if s.alive(t) {
-				s.needDP[t] = true
-			}
-		}
-	}
+	// The Λ pass must also be redone for destinations whose (unchanged)
+	// DAG crosses a link whose delay changed.
 	if len(s.chgLinks) > 0 {
 		for t := 0; t < n; t++ {
 			if s.needDP[t] || !s.alive(t) {
@@ -600,9 +581,10 @@ func (s *Session) recompute(u *undoState) {
 	u.oldViol = u.oldViol[:0]
 	u.oldDisc = u.oldDisc[:0]
 	for t := 0; t < n; t++ {
-		if !s.needDP[t] || !s.alive(t) {
+		if !s.needDP[t] {
 			continue
 		}
+		s.needDP[t] = false
 		u.lamDests = append(u.lamDests, t)
 		u.oldLambda = append(u.oldLambda, s.lambdaT[t])
 		u.oldViol = append(u.oldViol, s.violT[t])
@@ -630,6 +612,45 @@ func (s *Session) recompute(u *undoState) {
 	s.res = s.assemble(lambda, phi, violations, disconnected, maxUtil, sumUtil, aliveLinks)
 }
 
+// changedLinks fills s.resumD and s.resumT with the links the
+// contribution logs recorded in each class, ascending: one pass over the
+// logs flags them in s.chgMark (bit 1 delay, bit 2 throughput), and one
+// pass over the links collects and clears the flags.
+func (s *Session) changedLinks() {
+	for _, lg := range s.logs {
+		for _, c := range lg {
+			if c.thru {
+				s.chgMark[c.li] |= 2
+			} else {
+				s.chgMark[c.li] |= 1
+			}
+		}
+	}
+	for li, f := range s.chgMark {
+		if f == 0 {
+			continue
+		}
+		if f&1 != 0 {
+			s.resumD = append(s.resumD, int32(li))
+		}
+		if f&2 != 0 {
+			s.resumT = append(s.resumT, int32(li))
+		}
+		s.chgMark[li] = 0
+	}
+}
+
+// nextMarkEpoch advances the linkMark epoch, clearing the marks on
+// wraparound.
+func (s *Session) nextMarkEpoch() int32 {
+	if s.markEpoch == math.MaxInt32 {
+		clear(s.linkMark)
+		s.markEpoch = 0
+	}
+	s.markEpoch++
+	return s.markEpoch
+}
+
 // Revert restores the state before the last Apply exactly. It panics if
 // no Apply is pending (Init, a previous Revert, or a later Apply cleared
 // it).
@@ -643,23 +664,27 @@ func (s *Session) Revert() {
 	if u.noop {
 		return
 	}
+	for _, lg := range s.logs {
+		for i := len(lg) - 1; i >= 0; i-- {
+			c := lg[i]
+			if c.thru {
+				s.tContrib[c.t][c.li] = c.old
+			} else {
+				s.dContrib[c.t][c.li] = c.old
+			}
+		}
+	}
 	for i, t := range u.affD {
 		s.freeDest = append(s.freeDest, s.dDest[t])
 		s.dDest[t] = u.oldDDest[i]
-		s.freeContrib = append(s.freeContrib, s.dContrib[t])
-		s.dContrib[t] = u.oldDContrib[i]
 	}
 	for i, t := range u.affT {
 		s.freeStates = append(s.freeStates, s.tStates[t])
 		s.tStates[t] = u.oldTStates[i]
-		s.freeContrib = append(s.freeContrib, s.tContrib[t])
-		s.tContrib[t] = u.oldTContrib[i]
 		s.tDropped[t] = u.oldTDropped[i]
 	}
 	u.oldDDest = u.oldDDest[:0]
 	u.oldTStates = u.oldTStates[:0]
-	u.oldDContrib = u.oldDContrib[:0]
-	u.oldTContrib = u.oldTContrib[:0]
 	u.oldTDropped = u.oldTDropped[:0]
 	copy(s.loadD, u.loadD)
 	copy(s.loadT, u.loadT)
@@ -712,12 +737,8 @@ func (s *Session) recycleUndo() {
 	u := &s.undo
 	s.freeDest = append(s.freeDest, u.oldDDest...)
 	s.freeStates = append(s.freeStates, u.oldTStates...)
-	s.freeContrib = append(s.freeContrib, u.oldDContrib...)
-	s.freeContrib = append(s.freeContrib, u.oldTContrib...)
 	u.oldDDest = u.oldDDest[:0]
 	u.oldTStates = u.oldTStates[:0]
-	u.oldDContrib = u.oldDContrib[:0]
-	u.oldTContrib = u.oldTContrib[:0]
 	u.oldTDropped = u.oldTDropped[:0]
 }
 
@@ -737,75 +758,6 @@ func (s *Session) newDest() delayDest {
 		return d
 	}
 	return delayDest{}
-}
-
-// accumulateDelayLoads is spf's AccumulateLoadsInto over the cached DAG
-// adjacency: the same seeds, node order, pull sums and share writes (the
-// cached lists reproduce the out-link visit order exactly), minus the
-// per-link membership recomputation. flow is the caller's (worker's)
-// node-flow scratch.
-func (s *Session) accumulateDelayLoads(dc *delayDest, dem, flow, contrib []float64) float64 {
-	g := s.e.g
-	clear(contrib)
-	clear(flow)
-	var dropped float64
-	dist := dc.state.Dist
-	dest := dc.state.Dest
-	for v, d := range dem {
-		if d == 0 || v == int(dest) {
-			continue
-		}
-		if dist[v] >= spf.Inf {
-			dropped += d
-			continue
-		}
-		flow[v] = d
-	}
-	order := dc.state.Order
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		f := flow[v]
-		for _, li := range g.InLinks(int(v)) {
-			f += contrib[li]
-		}
-		if f == 0 {
-			continue
-		}
-		dag := dc.dagLinks[dc.dagOff[v]:dc.dagOff[v+1]]
-		if len(dag) == 0 {
-			continue // v is the destination
-		}
-		share := f / float64(len(dag))
-		for _, li := range dag {
-			contrib[li] = share
-		}
-	}
-	return dropped
-}
-
-// buildDAG materializes the delay-class ECMP DAG out-adjacency for a
-// freshly (re)computed destination, in out-link adjacency order — the
-// exact link visit order of the membership-testing DP it replaces.
-func (s *Session) buildDAG(dc *delayDest) {
-	g := s.e.g
-	n := g.NumNodes()
-	if cap(dc.dagOff) < n+1 {
-		dc.dagOff = make([]int32, n+1)
-	}
-	dc.dagOff = dc.dagOff[:n+1]
-	dc.dagLinks = dc.dagLinks[:0]
-	dist := dc.state.Dist
-	for u := 0; u < n; u++ {
-		dc.dagOff[u] = int32(len(dc.dagLinks))
-		du := dist[u]
-		for _, li := range g.OutLinks(u) {
-			dv := dist[s.linkTo[li]]
-			if dv < spf.Inf && du == dv+int64(s.w.Delay[li]) && s.mask.LinkAlive(int(li)) {
-				dc.dagLinks = append(dc.dagLinks, li)
-			}
-		}
-	}
-	dc.dagOff[n] = int32(len(dc.dagLinks))
 }
 
 // destLambdaCached is destLambda over the destination's materialized DAG:
@@ -849,27 +801,20 @@ func (s *Session) destLambdaCached(dc *delayDest, out []float64) (lambda float64
 	return e.lambdaFromDelays(out, s.skipNode, int(dest), s.demD, nil)
 }
 
-func (s *Session) newContrib() []float64 {
-	if k := len(s.freeContrib); k > 0 {
-		c := s.freeContrib[k-1]
-		s.freeContrib = s.freeContrib[:k-1]
-		return c
-	}
-	return make([]float64, s.e.g.NumLinks())
-}
-
 // SessionBytes estimates the resident size of one Session in bytes, used
 // by callers that keep many sessions (one per failure scenario) to bound
 // total memory.
 func (e *Evaluator) SessionBytes() int64 {
 	n := int64(e.g.NumNodes())
 	m := int64(e.g.NumLinks())
-	// Per destination: two classes of contribution vectors and SPF
-	// snapshots, plus the materialized delay-DAG adjacency.
-	perDest := 2*m*8 + 2*n*12 + m*4 + (n+1)*4
-	// Doubled: across moves the undo stash and free lists can retain a
-	// second copy of every per-destination cache. The trailing terms are
-	// the link-level arrays (current + undo snapshots) and node-sized
-	// scratch.
-	return 2*n*perDest + 21*m*8 + 10*n*8
+	// Per destination: two classes of contribution vectors, updated in
+	// place (Revert replays a sparse log, so there is one copy).
+	contrib := 2 * m * 8
+	// Per destination: two classes of SPF snapshots plus the
+	// materialized delay-DAG adjacency, doubled: across moves the undo
+	// stash and free lists can retain a second copy of each.
+	state := 2 * (2*n*12 + m*4 + (n+1)*4)
+	// The trailing terms are the link-level arrays (current + undo
+	// snapshots) and node-sized scratch.
+	return n*(contrib+state) + 21*m*8 + 10*n*8
 }
