@@ -28,7 +28,7 @@ func debugServer(t *testing.T) (*httptest.Server, *obsv.Registry, *repro.Fleet) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close(context.Background()) })
-	ts := httptest.NewServer(newServer(f, []member{{name: "net0", net: nw, lib: lib}}, 0, reg).mux())
+	ts := httptest.NewServer(newServer(f, 0, reg).mux())
 	t.Cleanup(ts.Close)
 	return ts, reg, f
 }

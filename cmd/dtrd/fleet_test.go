@@ -17,7 +17,6 @@ func testFleetServer(t *testing.T, opts repro.FleetOptions) (*httptest.Server, *
 	reg := obsv.NewRegistry()
 	obsv.SetDefault(reg)
 	t.Cleanup(func() { obsv.SetDefault(nil) })
-	var members []member
 	var fm []repro.FleetMember
 	for i, name := range []string{"east", "west"} {
 		nw, err := repro.NewNetwork(repro.NetworkSpec{Topology: "rand", Nodes: 8, Links: 32, Seed: int64(3 + i)})
@@ -32,7 +31,6 @@ func testFleetServer(t *testing.T, opts repro.FleetOptions) (*httptest.Server, *
 		if err != nil {
 			t.Fatal(err)
 		}
-		members = append(members, member{name: name, net: nw, lib: lib})
 		fm = append(fm, repro.FleetMember{Name: name, Net: nw, Library: lib})
 	}
 	f, err := repro.NewFleet(fm, opts)
@@ -40,7 +38,7 @@ func testFleetServer(t *testing.T, opts repro.FleetOptions) (*httptest.Server, *
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close(context.Background()) })
-	ts := httptest.NewServer(newServer(f, members, 0, reg).mux())
+	ts := httptest.NewServer(newServer(f, 0, reg).mux())
 	t.Cleanup(ts.Close)
 	return ts, f
 }

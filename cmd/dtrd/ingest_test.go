@@ -258,7 +258,7 @@ func TestServerSoakDrainOnSIGTERM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(f, []member{{name: "net0", net: nw, lib: lib}}, 0, reg)
+	srv := newServer(f, 0, reg)
 	hs := &http.Server{Handler: srv.mux()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -140,8 +140,7 @@ func main() {
 		fatal(fmt.Errorf("-library/-library-out/-weights load one network's library; they cannot be combined with -networks %d", o.networks))
 	}
 
-	members := make([]member, o.networks)
-	fleetMembers := make([]repro.FleetMember, o.networks)
+	members := make([]repro.FleetMember, o.networks)
 	days := make([]*repro.ScenarioSet, o.networks)
 	for i := range members {
 		name := fmt.Sprintf("net%d", i)
@@ -149,8 +148,7 @@ func main() {
 		// scenario day and library, deterministically from -seed.
 		seed := o.seed + int64(i)*1000
 		nw, day, lib := buildNetwork(o, name, seed)
-		members[i] = member{name: name, net: nw, lib: lib}
-		fleetMembers[i] = repro.FleetMember{Name: name, Net: nw, Library: lib}
+		members[i] = repro.FleetMember{Name: name, Net: nw, Library: lib}
 		days[i] = day
 	}
 
@@ -158,7 +156,7 @@ func main() {
 	if workers == 0 {
 		workers = -1 // dtrd's 0 means GOMAXPROCS; FleetOptions uses <0 for that
 	}
-	fleet, err := repro.NewFleet(fleetMembers, repro.FleetOptions{
+	fleet, err := repro.NewFleet(members, repro.FleetOptions{
 		CheckpointDir:      o.checkpointDir,
 		CheckpointInterval: o.checkpointInterval,
 		Intake: repro.IntakeOptions{
@@ -184,7 +182,7 @@ func main() {
 
 	if o.replay {
 		for i, m := range members {
-			replayDay(fleet, m.name, days[i], o.maxChanges)
+			replayDay(fleet, m.Name, days[i], o.maxChanges)
 		}
 	}
 
@@ -200,7 +198,7 @@ func main() {
 		}
 		return
 	}
-	srv := newServer(fleet, members, o.intakeRetry, reg)
+	srv := newServer(fleet, o.intakeRetry, reg)
 	srv.enablePprof = o.pprof
 	hs := &http.Server{
 		Addr:              o.listen,

@@ -13,13 +13,6 @@ import (
 	"repro/internal/obsv"
 )
 
-// member is one served network: its routing key, topology and library.
-type member struct {
-	name string
-	net  *repro.Network
-	lib  *repro.Library
-}
-
 // server wraps the controller fleet behind an HTTP/JSON API. The fleet
 // is internally synchronized; all daemon telemetry — request counters,
 // per-path latency histograms, per-network controller state gauges, and
@@ -27,7 +20,6 @@ type member struct {
 // is rendered entirely by the obsv exposition writer.
 type server struct {
 	fleet      *repro.Fleet
-	members    []member
 	retryAfter time.Duration
 	start      time.Time
 	reg        *obsv.Registry
@@ -42,7 +34,7 @@ type server struct {
 
 // newServer builds the daemon server on reg; a nil registry gets a
 // private one so the endpoints always work.
-func newServer(fleet *repro.Fleet, members []member, retryAfter time.Duration, reg *obsv.Registry) *server {
+func newServer(fleet *repro.Fleet, retryAfter time.Duration, reg *obsv.Registry) *server {
 	if reg == nil {
 		reg = obsv.NewRegistry()
 	}
@@ -51,7 +43,6 @@ func newServer(fleet *repro.Fleet, members []member, retryAfter time.Duration, r
 	}
 	return &server{
 		fleet:      fleet,
-		members:    members,
 		retryAfter: retryAfter,
 		start:      time.Now(),
 		reg:        reg,
@@ -164,22 +155,6 @@ func fleetErrCode(err error) int {
 // default network).
 func network(r *http.Request) string { return r.URL.Query().Get("network") }
 
-// memberFor resolves a network name to its member ("" = the default).
-func (s *server) memberFor(name string) (member, error) {
-	if name == "" {
-		return s.members[0], nil
-	}
-	for _, m := range s.members {
-		if m.name == name {
-			return m, nil
-		}
-	}
-	// Resolve through the fleet so the rejection is counted and the
-	// error names the known networks.
-	_, err := s.fleet.Library(name)
-	return member{}, err
-}
-
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"status": "ok", "networks": s.fleet.Networks()})
 }
@@ -194,18 +169,18 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleConfig(w http.ResponseWriter, r *http.Request) {
-	m, err := s.memberFor(network(r))
+	m, err := s.fleet.Member(network(r))
 	if err != nil {
 		writeError(w, fleetErrCode(err), err)
 		return
 	}
 	writeJSON(w, map[string]any{
-		"network":      m.name,
+		"network":      m.Name,
 		"networks":     s.fleet.Networks(),
-		"nodes":        m.net.Nodes(),
-		"links":        m.net.Links(),
-		"sla_bound_ms": m.net.SLABoundMs(),
-		"configs":      m.lib.Names(),
+		"nodes":        m.Net.Nodes(),
+		"links":        m.Net.Links(),
+		"sla_bound_ms": m.Net.SLABoundMs(),
+		"configs":      m.Library.Names(),
 	})
 }
 
@@ -347,13 +322,13 @@ func (s *server) fleetLifecycle(w http.ResponseWriter, r *http.Request, op strin
 	target := "all"
 	var err error
 	if r.URL.Query().Has("network") {
-		m, merr := s.memberFor(network(r))
+		m, merr := s.fleet.Member(network(r))
 		if merr != nil {
 			writeError(w, fleetErrCode(merr), merr)
 			return
 		}
-		target = m.name
-		err = one(m.name)
+		target = m.Name
+		err = one(m.Name)
 	} else {
 		err = all()
 	}
@@ -399,12 +374,12 @@ func (s *server) refreshStateMetrics() {
 	s.fleet.RefreshMetrics()
 	s.reg.Gauge("dtrd_uptime_seconds", "Daemon uptime.").
 		Set(time.Since(s.start).Seconds())
-	for _, m := range s.members {
-		st, err := s.fleet.State(m.name)
+	for _, name := range s.fleet.Networks() {
+		st, err := s.fleet.State(name)
 		if err != nil {
 			continue
 		}
-		nl := obsv.L("network", m.name)
+		nl := obsv.L("network", name)
 		s.reg.Counter("dtrd_events_total", "Telemetry events consumed.", nl).
 			Set(int64(st.Events))
 		s.reg.Gauge("dtrd_active_config", "Index of the deployed configuration (-1 mid-migration).", nl).

@@ -42,7 +42,7 @@ func testServerIntake(t *testing.T, opts repro.IntakeOptions) (*httptest.Server,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close(context.Background()) })
-	ts := httptest.NewServer(newServer(f, []member{{name: "net0", net: nw, lib: lib}}, opts.RetryAfter, reg).mux())
+	ts := httptest.NewServer(newServer(f, opts.RetryAfter, reg).mux())
 	t.Cleanup(ts.Close)
 	return ts, lib, f
 }

@@ -136,18 +136,16 @@ type DemandDelta = traffic.Delta
 // DemandDeltaEntry is one entry of a DemandDelta.
 type DemandDeltaEntry = traffic.DeltaEntry
 
-// ControlEvent is one telemetry update fed to a Controller: a directed
-// link going down or coming back, a uniform demand-scale update, or a
-// sparse demand-delta update. Richer dense traffic shifts enter
-// through Controller.ReplayEpisode, which replays scenario-set
-// episodes.
+// ControlEvent is one telemetry update fed to a Fleet: a directed link
+// going down or coming back, a uniform demand-scale update, or a sparse
+// demand-delta update. Richer dense traffic shifts enter through
+// Fleet.ReplayEpisode, which replays scenario-set episodes.
 type ControlEvent struct {
 	// Kind is "link-down", "link-up", "demand-scale" or "demand-delta".
 	Kind string
-	// Network names the network the event belongs to, for fleet
-	// deployments (Fleet routes each event to the named shard; an empty
-	// Network means the fleet's default, first-configured network). A
-	// single-network Controller ignores it.
+	// Network names the network the event belongs to: Fleet routes
+	// each event to the named shard, and an empty Network means the
+	// fleet's default, first-configured network.
 	Network string
 	// Link is the directed link index of a link event.
 	Link int
@@ -164,76 +162,9 @@ type ControlEvent struct {
 	Label string
 }
 
-// Controller is the online control plane of one network: it tracks
-// current conditions through telemetry events, keeps every library
-// configuration scored incrementally (one persistent session per
-// configuration), advises which configuration fits the conditions
-// best, and plans bounded-change migrations toward it. It is safe for
-// concurrent use. The core logic lives in internal/fleet (one
-// Controller per fleet shard); this facade adds wire-event conversion.
-// Multi-network deployments wrap one core per network in a Fleet.
-type Controller struct {
-	net  *Network
-	lib  *Library
-	core *fleet.Controller
-}
-
-// SetParallelism sets the recompute worker budget of every candidate
-// session the controller keeps (routing.Session.SetParallelism): k <= 0
-// means GOMAXPROCS, 1 (the default) keeps each session serial. Results
-// are bit-identical at every setting; workers trade only the wall-clock
-// latency of Observe on large topologies.
-func (c *Controller) SetParallelism(k int) { c.core.SetParallelism(k) }
-
-// NewController starts a controller on the intact network with base
-// traffic, deploying the library configuration that scores best there.
-func (n *Network) NewController(lib *Library) (*Controller, error) {
-	core, err := n.newCore(lib)
-	if err != nil {
-		return nil, err
-	}
-	return &Controller{net: n, lib: lib, core: core}, nil
-}
-
-// newCore builds the fleet-layer controller core for this network and
-// library (NewController wraps one; Fleet shards build their own so
-// crash recovery can rebuild them).
-func (n *Network) newCore(lib *Library) (*fleet.Controller, error) {
-	if lib == nil {
-		return nil, fmt.Errorf("repro: nil library")
-	}
-	if lib.net != n {
-		return nil, fmt.Errorf("repro: library was built for a different network")
-	}
-	return fleet.NewController(n.ev, lib.lib)
-}
-
-// Observe folds one telemetry event into the controller.
-func (c *Controller) Observe(e ControlEvent) error {
-	ev, err := c.net.toEvent(e)
-	if err != nil {
-		return err
-	}
-	return c.core.Observe(ev)
-}
-
-// ObserveBatch folds an ordered batch of telemetry events into the
-// controller under one lock acquisition, collapsing runs of link
-// events into multi-link session updates. Validation is all-or-
-// nothing: a malformed event rejects the whole batch before any state
-// changes. The resulting state is bit-identical to calling Observe
-// once per event, in order.
-func (c *Controller) ObserveBatch(events []ControlEvent) error {
-	evs, err := c.toEvents(events)
-	if err != nil {
-		return err
-	}
-	return c.core.ObserveBatch(evs, 0, 0)
-}
-
 // toEvent converts one wire event to the engine's scenario event. It
 // holds no lock: it reads only the immutable base demand matrices, so
-// the intake queue can convert batches without serializing against
+// Fleet.Enqueue can convert batches without serializing against
 // selector work.
 func (n *Network) toEvent(e ControlEvent) (scenario.Event, error) {
 	switch e.Kind {
@@ -257,44 +188,8 @@ func (n *Network) toEvent(e ControlEvent) (scenario.Event, error) {
 	return scenario.Event{}, fmt.Errorf("repro: unknown event kind %q (link-down|link-up|demand-scale|demand-delta)", e.Kind)
 }
 
-// toEvents converts and validates a whole batch without observing it,
-// so admission (the intake queue) can reject malformed batches before
-// they are queued. Validation reads only immutable shape state, so this
-// too runs without the controller lock.
-func (c *Controller) toEvents(events []ControlEvent) ([]scenario.Event, error) {
-	evs := make([]scenario.Event, len(events))
-	for i, e := range events {
-		ev, err := c.net.toEvent(e)
-		if err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		if err := c.core.Validate(ev); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		evs[i] = ev
-	}
-	return evs, nil
-}
-
-// ReplayEpisode replays scenario i of the set as telemetry: its onset
-// events when onset is true, its recovery events otherwise. Scenario
-// sets thus double as replayable "days" of incidents.
-func (c *Controller) ReplayEpisode(set *ScenarioSet, i int, onset bool) error {
-	if set == nil || set.net != c.net {
-		return fmt.Errorf("repro: scenario set was built from a different network")
-	}
-	if i < 0 || i >= set.Size() {
-		return fmt.Errorf("repro: episode %d out of range [0,%d)", i, set.Size())
-	}
-	ep := scenario.EpisodeAt(c.net.g, set.set, i)
-	events := ep.Onset
-	if !onset {
-		events = ep.Recovery
-	}
-	return c.core.ObserveBatch(events, 0, 0)
-}
-
-// Advice reports the configuration the controller would run now.
+// Advice reports the configuration a network's controller would run
+// now.
 type Advice struct {
 	// Config and Name identify the best library configuration for the
 	// current conditions; Evaluation is its (bit-exact) score there.
@@ -305,12 +200,6 @@ type Advice struct {
 	// ShouldSwitch is Config != Active.
 	Active       int
 	ShouldSwitch bool
-}
-
-// Advise scores every configuration under current conditions and
-// returns the best (lexicographic ⟨Λ, Φ⟩; ties to the lowest index).
-func (c *Controller) Advise() Advice {
-	return adviceFrom(c.core.Advise())
 }
 
 func adviceFrom(a fleet.Advice) Advice {
@@ -355,24 +244,10 @@ type MigrationPlan struct {
 	// post-plan weights and the full target under planning conditions.
 	Start, Final, TargetEval Evaluation
 
-	// p is the fleet-layer plan this facade view was built from; Apply
-	// hands it back to the core, which refuses a plan whose base no
-	// longer matches the deployed weights (stale plan).
+	// p is the fleet-layer plan this facade view was built from;
+	// Fleet.Apply hands it back to the core, which refuses a plan whose
+	// base no longer matches the deployed weights (stale plan).
 	p *fleet.Plan
-}
-
-// Plan computes a bounded-change migration from the deployed weights to
-// library configuration target under the current conditions. At most
-// maxChanges links are rewritten (≤ 0: unbounded); the apply order
-// keeps every intermediate state loop-free and within the SLA envelope
-// of the endpoints. When the budget binds, the plan is a stage:
-// applying it and re-planning later continues the migration.
-func (c *Controller) Plan(target, maxChanges int) (*MigrationPlan, error) {
-	p, err := c.core.Plan(target, maxChanges)
-	if err != nil {
-		return nil, err
-	}
-	return planFrom(p), nil
 }
 
 func planFrom(p *fleet.Plan) *MigrationPlan {
@@ -399,31 +274,13 @@ func planFrom(p *fleet.Plan) *MigrationPlan {
 	return plan
 }
 
-// Apply commits a plan's rewrites to the deployed weights. A complete
-// plan lands exactly on its target configuration; a partial plan leaves
-// the controller mid-migration (Active reports -1) until a follow-up
-// plan finishes the job. A plan whose base no longer matches the
-// deployed weights — another plan was applied since it was computed, so
-// its verified intermediate states no longer apply — is rejected, as is
-// a plan not produced by this controller's Plan. Validation happens
-// before any mutation: a rejected plan changes nothing.
-func (c *Controller) Apply(plan *MigrationPlan) error {
-	if plan == nil {
-		return fmt.Errorf("repro: nil plan")
-	}
-	if plan.p == nil {
-		return fmt.Errorf("repro: plan was not produced by Controller.Plan")
-	}
-	return c.core.Apply(plan.p)
-}
-
 // ConfigState is one configuration's live score.
 type ConfigState struct {
 	Name string
 	Evaluation
 }
 
-// ControllerState is a snapshot of the controller.
+// ControllerState is a snapshot of one network's controller.
 type ControllerState struct {
 	// Active and ActiveName identify the deployed configuration; Active
 	// is -1 (and ActiveName "partial-migration") mid-migration.
@@ -438,11 +295,6 @@ type ControllerState struct {
 	// Configs scores every library configuration under the current
 	// conditions, in library order.
 	Configs []ConfigState
-}
-
-// State snapshots the controller's view of the network.
-func (c *Controller) State() ControllerState {
-	return stateFrom(c.core.State())
 }
 
 func stateFrom(s fleet.State) ControllerState {

@@ -87,15 +87,50 @@ func TestLibraryJSONFacadeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestControllerAdvisePlanApply(t *testing.T) {
-	net := controlTestNetwork(t)
-	lib, set := controlTestLibrary(t, net)
-	c, err := net.NewController(lib)
+// controlTestFleet serves one network as a one-member Fleet, the
+// single-network control plane; "" addresses its only member.
+func controlTestFleet(t testing.TB, net *Network, lib *Library) *Fleet {
+	t.Helper()
+	f, err := NewFleet([]FleetMember{{Name: "net", Net: net, Library: lib}}, FleetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { closeFleet(t, f) })
+	return f
+}
 
-	st := c.State()
+// observe admits events into the fleet and waits for their delivery.
+func observe(f *Fleet, events ...ControlEvent) error {
+	if _, err := f.Enqueue(events); err != nil {
+		return err
+	}
+	return f.Quiesce("")
+}
+
+func mustState(t testing.TB, f *Fleet) ControllerState {
+	t.Helper()
+	st, err := f.State("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func mustAdvise(t testing.TB, f *Fleet) Advice {
+	t.Helper()
+	adv, err := f.Advise("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return adv
+}
+
+func TestControllerAdvisePlanApply(t *testing.T) {
+	net := controlTestNetwork(t)
+	lib, set := controlTestLibrary(t, net)
+	c := controlTestFleet(t, net, lib)
+
+	st := mustState(t, c)
 	if st.Active < 0 || len(st.Configs) != lib.Size() || st.ActiveName == "partial-migration" {
 		t.Fatalf("initial state %+v", st)
 	}
@@ -103,16 +138,16 @@ func TestControllerAdvisePlanApply(t *testing.T) {
 	// Replay every episode; whenever the controller advises a switch,
 	// plan and apply it, re-planning until the migration completes.
 	for i := 0; i < set.Size(); i++ {
-		if err := c.ReplayEpisode(set, i, true); err != nil {
+		if err := c.ReplayEpisode("", set, i, true); err != nil {
 			t.Fatal(err)
 		}
-		adv := c.Advise()
+		adv := mustAdvise(t, c)
 		if adv.Config < 0 || adv.Config >= lib.Size() {
 			t.Fatalf("advice config %d", adv.Config)
 		}
 		if adv.ShouldSwitch {
 			for stage := 0; stage < 50; stage++ {
-				plan, err := c.Plan(adv.Config, 3)
+				plan, err := c.Plan("", adv.Config, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,7 +159,7 @@ func TestControllerAdvisePlanApply(t *testing.T) {
 						t.Fatalf("unverified step %+v", step)
 					}
 				}
-				if err := c.Apply(plan); err != nil {
+				if err := c.Apply("", plan); err != nil {
 					t.Fatal(err)
 				}
 				if plan.Complete {
@@ -134,53 +169,53 @@ func TestControllerAdvisePlanApply(t *testing.T) {
 					break // cannot make further progress under SLA envelope
 				}
 			}
-			if st := c.State(); st.Active == adv.Config {
+			if st := mustState(t, c); st.Active == adv.Config {
 				// Migration landed on the advised configuration.
 				if st.ActiveName != lib.Names()[adv.Config] {
 					t.Fatalf("active name %q", st.ActiveName)
 				}
 			}
 		}
-		if err := c.ReplayEpisode(set, i, false); err != nil {
+		if err := c.ReplayEpisode("", set, i, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if st := c.State(); len(st.DownLinks) != 0 {
+	if st := mustState(t, c); len(st.DownLinks) != 0 {
 		t.Fatalf("links still down after recovery: %v", st.DownLinks)
 	}
 
 	// Event API error paths.
-	if err := c.Observe(ControlEvent{Kind: "nope"}); err == nil {
+	if err := observe(c, ControlEvent{Kind: "nope"}); err == nil {
 		t.Error("unknown event kind accepted")
 	}
-	if err := c.Observe(ControlEvent{Kind: "demand-scale", Scale: -1}); err == nil {
+	if err := observe(c, ControlEvent{Kind: "demand-scale", Scale: -1}); err == nil {
 		t.Error("negative scale accepted")
 	}
-	if err := c.Observe(ControlEvent{Kind: "link-down", Link: 4}); err != nil {
+	if err := observe(c, ControlEvent{Kind: "link-down", Link: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Observe(ControlEvent{Kind: "demand-scale", Scale: 2}); err != nil {
+	if err := observe(c, ControlEvent{Kind: "demand-scale", Scale: 2}); err != nil {
 		t.Fatal(err)
 	}
-	st = c.State()
+	st = mustState(t, c)
 	if len(st.DownLinks) != 1 || st.DownLinks[0] != 4 {
 		t.Fatalf("down links %v", st.DownLinks)
 	}
-	if err := c.Observe(ControlEvent{Kind: "link-up", Link: 4}); err != nil {
+	if err := observe(c, ControlEvent{Kind: "link-up", Link: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Observe(ControlEvent{Kind: "demand-scale", Scale: 1}); err != nil {
+	if err := observe(c, ControlEvent{Kind: "demand-scale", Scale: 1}); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := c.Plan(-1, 0); err == nil {
+	if _, err := c.Plan("", -1, 0); err == nil {
 		t.Error("out-of-range plan target accepted")
 	}
-	if err := c.Apply(nil); err == nil {
+	if err := c.Apply("", nil); err == nil {
 		t.Error("nil plan accepted")
 	}
-	if err := c.Apply(&MigrationPlan{}); err == nil || !strings.Contains(err.Error(), "not produced") {
+	if err := c.Apply("", &MigrationPlan{}); err == nil || !strings.Contains(err.Error(), "not produced") {
 		t.Errorf("hand-built plan error = %v", err)
 	}
 }
@@ -195,42 +230,39 @@ func TestControllerApplyRejectsStalePlans(t *testing.T) {
 	if lib.Size() < 2 {
 		t.Skip("library collapsed to one configuration")
 	}
-	c, err := net.NewController(lib)
+	c := controlTestFleet(t, net, lib)
+	target := (mustState(t, c).Active + 1) % lib.Size()
+	planA, err := c.Plan("", target, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := (c.State().Active + 1) % lib.Size()
-	planA, err := c.Plan(target, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planB, err := c.Plan(target, 4)
+	planB, err := c.Plan("", target, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(planA.Steps) == 0 {
 		t.Skip("configurations identical; nothing to migrate")
 	}
-	if err := c.Apply(planA); err != nil {
+	if err := c.Apply("", planA); err != nil {
 		t.Fatal(err)
 	}
-	before := c.State()
-	if err := c.Apply(planB); err == nil || !strings.Contains(err.Error(), "stale plan") {
+	before := mustState(t, c)
+	if err := c.Apply("", planB); err == nil || !strings.Contains(err.Error(), "stale plan") {
 		t.Fatalf("stale plan error = %v", err)
 	}
-	after := c.State()
+	after := mustState(t, c)
 	if after.Active != before.Active || after.Deployed != before.Deployed {
 		t.Error("rejected plan mutated the controller")
 	}
 	// Re-planning from the new deployed state works.
-	planC, err := c.Plan(target, 0)
+	planC, err := c.Plan("", target, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Apply(planC); err != nil {
+	if err := c.Apply("", planC); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.State(); !planC.Complete || st.Active != target {
+	if st := mustState(t, c); !planC.Complete || st.Active != target {
 		t.Fatalf("follow-up plan did not land on target: %+v", st)
 	}
 }

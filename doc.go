@@ -34,40 +34,34 @@
 // Phase1Stats/Phase2Stats report the resulting evaluation throughput.
 // On large topologies — Topology "hier" generates hierarchical ISPs
 // sized for 1000+ nodes — OptimizeOptions.Workers (and
-// Controller.SetParallelism) shard each session's per-destination
+// FleetOptions.Workers) shard each session's per-destination
 // recompute across cores; results stay bit-identical at every worker
 // count, so parallelism changes wall-clock time only.
 //
 // The flexibility axis runs online: BuildLibrary precomputes a small
 // set of configurations by clustering the scenario space and
-// optimizing one robust routing per cluster, and a Controller tracks
-// live conditions through telemetry events, advises the best
-// configuration, and plans bounded-change migrations whose every step
-// is loop-free and SLA-checked:
-//
-//	lib, _ := net.BuildLibrary(set, repro.LibraryOptions{Size: 4})
-//	ctrl, _ := net.NewController(lib)
-//	ctrl.Observe(repro.ControlEvent{Kind: "link-down", Link: 3})
-//	if adv := ctrl.Advise(); adv.ShouldSwitch {
-//	    plan, _ := ctrl.Plan(adv.Config, 5) // at most 5 weight changes
-//	    ctrl.Apply(plan)
-//	}
-//
-// To serve several networks from one process, NewFleet shards the
-// control plane: one controller shard per network, each behind its own
+// optimizing one robust routing per cluster, and NewFleet starts the
+// control plane: one controller shard per network, each tracking live
+// conditions through telemetry events, advising the best
+// configuration, and planning bounded-change migrations whose every
+// step is loop-free and SLA-checked. Every shard sits behind its own
 // asynchronous intake queue with an independent lifecycle and crash
 // isolation, and — when a checkpoint directory is configured — durable
 // checkpoint/restore (snapshot + write-ahead event log) that recovers
 // a bit-identical controller. Telemetry routes to shards by the
-// ControlEvent Network field:
+// ControlEvent Network field; a single network is a one-member fleet,
+// addressed as "":
 //
+//	lib, _ := net.BuildLibrary(set, repro.LibraryOptions{Size: 4})
 //	f, _ := repro.NewFleet([]repro.FleetMember{
-//	    {Name: "east", Net: east, Library: eastLib},
-//	    {Name: "west", Net: west, Library: westLib},
+//	    {Name: "east", Net: net, Library: lib},
 //	}, repro.FleetOptions{CheckpointDir: "ckpt"})
-//	f.Enqueue([]repro.ControlEvent{{Kind: "link-down", Link: 3, Network: "west"}})
-//	f.Quiesce("west")
-//	adv, _ := f.Advise("west")
+//	f.Enqueue([]repro.ControlEvent{{Kind: "link-down", Link: 3}})
+//	f.Quiesce("")
+//	if adv, _ := f.Advise(""); adv.ShouldSwitch {
+//	    plan, _ := f.Plan("", adv.Config, 5) // at most 5 weight changes
+//	    f.Apply("", plan)
+//	}
 //
 // cmd/dtrd serves a controller fleet as a long-running HTTP/JSON
 // daemon — one network by default, several with -networks — with

@@ -2,7 +2,7 @@
 // online. This example builds a network, precomputes a configuration
 // library by clustering the scenario space and optimizing one robust
 // routing per cluster, then replays the day as a telemetry stream
-// through a Controller: every episode's events re-score all
+// through a one-member Fleet: every episode's events re-score all
 // configurations incrementally, the controller advises the best one,
 // and switches happen through bounded-change migration plans whose
 // every intermediate step is loop-free and SLA-checked.
@@ -13,12 +13,13 @@
 // configuration cannot avoid.
 //
 // This tour drives one network; examples/fleet runs the same loop
-// across several networks at once through the sharded Fleet facade.
+// across several networks at once, with durable checkpoints.
 //
 // Run with: go run ./examples/controlplane
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,11 +56,18 @@ func main() {
 	}
 	fmt.Printf("library: %v\n\n", lib.Names())
 
-	ctrl, err := net.NewController(lib)
+	// A single network is a one-member fleet; its name is the routing
+	// key, and "" addresses the default (here: only) member.
+	fleet, err := repro.NewFleet([]repro.FleetMember{{Name: "net", Net: net, Library: lib}}, repro.FleetOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	static, err := lib.Routing(ctrl.State().Active) // the best config on the intact network
+	defer fleet.Close(context.Background())
+	st, err := fleet.State("")
+	if err != nil {
+		log.Fatal(err)
+	}
+	static, err := lib.Routing(st.Active) // the best config on the intact network
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,19 +86,22 @@ func main() {
 	names := day.ScenarioNames()
 	staticViol, adaptiveViol, totalChanges := 0, 0, 0
 	for i := 0; i < day.Size(); i++ {
-		if err := ctrl.ReplayEpisode(day, i, true); err != nil {
+		if err := fleet.ReplayEpisode("", day, i, true); err != nil {
 			log.Fatal(err)
 		}
-		adv := ctrl.Advise()
+		adv, err := fleet.Advise("")
+		if err != nil {
+			log.Fatal(err)
+		}
 		changes := 0
 		if adv.ShouldSwitch {
 			// Staged migration: apply bounded plans until complete.
 			for {
-				plan, err := ctrl.Plan(adv.Config, maxChanges)
+				plan, err := fleet.Plan("", adv.Config, maxChanges)
 				if err != nil {
 					log.Fatal(err)
 				}
-				if err := ctrl.Apply(plan); err != nil {
+				if err := fleet.Apply("", plan); err != nil {
 					log.Fatal(err)
 				}
 				changes += len(plan.Steps)
@@ -99,7 +110,10 @@ func main() {
 				}
 			}
 		}
-		st := ctrl.State()
+		st, err := fleet.State("")
+		if err != nil {
+			log.Fatal(err)
+		}
 		staticHere := staticRep.PerScenario[i].SLAViolations
 		staticViol += staticHere
 		adaptiveViol += st.Deployed.SLAViolations
@@ -108,7 +122,7 @@ func main() {
 			fmt.Printf("  %-26s %-8s %10d %10d %8d\n",
 				names[i], adv.Name, staticHere, st.Deployed.SLAViolations, changes)
 		}
-		if err := ctrl.ReplayEpisode(day, i, false); err != nil {
+		if err := fleet.ReplayEpisode("", day, i, false); err != nil {
 			log.Fatal(err)
 		}
 	}

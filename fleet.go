@@ -55,22 +55,20 @@ type FleetOptions struct {
 	Workers int
 }
 
-type fleetMember struct {
-	name string
-	net  *Network
-	lib  *Library
-}
-
-// Fleet is a sharded multi-network control plane: one controller shard
-// per member network behind a coordinator that routes telemetry by the
-// events' Network field. Shards run independently — each has its own
-// intake queue, checkpoint and crash recovery; a panic in one never
-// touches the others — and an aggregated view is served by FleetState.
-// All methods are safe for concurrent use.
+// Fleet is the online control plane: one controller shard per member
+// network behind a coordinator that routes telemetry by the events'
+// Network field. Each controller tracks its network's conditions,
+// keeps every library configuration scored incrementally, advises the
+// best one and plans bounded-change migrations toward it. Shards run
+// independently — each has its own intake queue, checkpoint and crash
+// recovery; a panic in one never touches the others — and an
+// aggregated view is served by FleetState. A single network is a
+// one-member fleet, addressed as "" (the default network). All methods
+// are safe for concurrent use.
 type Fleet struct {
 	coord   *fleet.Coordinator
 	order   []string
-	members map[string]*fleetMember
+	members map[string]FleetMember
 }
 
 var fleetNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
@@ -85,7 +83,7 @@ func NewFleet(members []FleetMember, opts FleetOptions) (*Fleet, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("repro: fleet needs at least one member")
 	}
-	f := &Fleet{members: make(map[string]*fleetMember, len(members))}
+	f := &Fleet{members: make(map[string]FleetMember, len(members))}
 	cfgs := make([]fleet.ShardConfig, 0, len(members))
 	for i, m := range members {
 		if !fleetNameRe.MatchString(m.Name) {
@@ -119,7 +117,7 @@ func NewFleet(members []FleetMember, opts FleetOptions) (*Fleet, error) {
 		cfgs = append(cfgs, fleet.ShardConfig{
 			Network: m.Name,
 			Factory: func() (*fleet.Controller, error) {
-				core, err := net.newCore(lib)
+				core, err := fleet.NewController(net.ev, lib.lib)
 				if err != nil {
 					return nil, err
 				}
@@ -136,7 +134,7 @@ func NewFleet(members []FleetMember, opts FleetOptions) (*Fleet, error) {
 			RetryAfter:         opts.Intake.RetryAfter,
 		})
 		f.order = append(f.order, m.Name)
-		f.members[m.Name] = &fleetMember{name: m.Name, net: net, lib: lib}
+		f.members[m.Name] = m
 	}
 	coord, err := fleet.NewCoordinator(cfgs)
 	if err != nil {
@@ -157,18 +155,16 @@ func (f *Fleet) Networks() []string {
 // DefaultNetwork returns the name events with an empty Network route to.
 func (f *Fleet) DefaultNetwork() string { return f.order[0] }
 
-// Library returns the named network's configuration library ("" = the
-// default network).
-func (f *Fleet) Library(network string) (*Library, error) {
+// Member returns the named network's member declaration ("" = the
+// default network). An unknown name is rejected, and counted, as by
+// every other per-network method.
+func (f *Fleet) Member(network string) (FleetMember, error) {
 	m, _, err := f.resolve(network)
-	if err != nil {
-		return nil, err
-	}
-	return m.lib, nil
+	return m, err
 }
 
 // resolve maps a network name ("" = default) to its member and shard.
-func (f *Fleet) resolve(network string) (*fleetMember, *fleet.Shard, error) {
+func (f *Fleet) resolve(network string) (FleetMember, *fleet.Shard, error) {
 	if network == "" {
 		network = f.order[0]
 	}
@@ -177,11 +173,11 @@ func (f *Fleet) resolve(network string) (*fleetMember, *fleet.Shard, error) {
 		// Count the rejection through the coordinator's unknown-network
 		// metric and reuse its error (it names the known networks).
 		_, err := f.coord.Shard(network)
-		return nil, nil, err
+		return FleetMember{}, nil, err
 	}
 	sh, err := f.coord.Shard(network)
 	if err != nil {
-		return nil, nil, err
+		return FleetMember{}, nil, err
 	}
 	return m, sh, nil
 }
@@ -200,11 +196,12 @@ type FleetIntakeResult struct {
 // Enqueue splits a telemetry batch by each event's Network field ("" =
 // the default network) and admits each sub-batch into its shard's
 // intake queue. An unknown network or a malformed event rejects the
-// whole batch before any admission. Admission itself is all-or-nothing
-// per shard, not across shards: a full queue sheds only that network's
-// sub-batch (the result lists it in Shed and the error is
-// ErrIntakeFull, surfaced as 429 + Retry-After), and a restarting
-// shard's sub-batch is rejected with ErrShardDown (503).
+// whole batch before any admission: every sub-batch is validated
+// against its shard before the first one is admitted. Admission itself
+// is all-or-nothing per shard, not across shards: a full queue sheds
+// only that network's sub-batch (the result lists it in Shed and the
+// error is ErrIntakeFull, surfaced as 429 + Retry-After), and a
+// restarting shard's sub-batch is rejected with ErrShardDown (503).
 func (f *Fleet) Enqueue(events []ControlEvent) (FleetIntakeResult, error) {
 	res := FleetIntakeResult{LastSeq: make(map[string]uint64)}
 	if len(events) == 0 {
@@ -222,17 +219,22 @@ func (f *Fleet) Enqueue(events []ControlEvent) (FleetIntakeResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("event %d: %w", i, err)
 		}
-		ev, err := m.net.toEvent(e)
+		ev, err := m.Net.toEvent(e)
 		if err != nil {
 			return res, fmt.Errorf("event %d: %w", i, err)
 		}
-		g := byName[m.name]
+		g := byName[m.Name]
 		if g == nil {
-			g = &group{name: m.name, sh: sh}
-			byName[m.name] = g
+			g = &group{name: m.Name, sh: sh}
+			byName[m.Name] = g
 			groups = append(groups, g)
 		}
 		g.evs = append(g.evs, ev)
+	}
+	for _, g := range groups {
+		if err := g.sh.Validate(g.evs); err != nil {
+			return res, fmt.Errorf("network %s: %w", g.name, err)
+		}
 	}
 	var full, down bool
 	for _, g := range groups {
@@ -279,8 +281,13 @@ func (f *Fleet) Advise(network string) (Advice, error) {
 	return adviceFrom(c.Advise()), nil
 }
 
-// Plan computes a bounded-change migration on the named network, as
-// Controller.Plan ("" = the default network).
+// Plan computes a bounded-change migration on the named network ("" =
+// the default network) from the deployed weights to library
+// configuration target under the current conditions. At most
+// maxChanges links are rewritten (≤ 0: unbounded); the apply order
+// keeps every intermediate state loop-free and within the SLA envelope
+// of the endpoints. When the budget binds, the plan is a stage:
+// applying it and re-planning later continues the migration.
 func (f *Fleet) Plan(network string, target, maxChanges int) (*MigrationPlan, error) {
 	c, err := f.controller(network)
 	if err != nil {
@@ -293,7 +300,13 @@ func (f *Fleet) Plan(network string, target, maxChanges int) (*MigrationPlan, er
 	return planFrom(p), nil
 }
 
-// Apply commits a plan on the named network, as Controller.Apply.
+// Apply commits a plan's rewrites to the named network's deployed
+// weights. A complete plan lands exactly on its target configuration; a
+// partial plan leaves the controller mid-migration (Active reports -1)
+// until a follow-up plan finishes the job. A plan whose base no longer
+// matches the deployed weights — another plan was applied since it was
+// computed — is rejected, as is a plan not produced by Plan. A rejected
+// plan changes nothing.
 func (f *Fleet) Apply(network string, plan *MigrationPlan) error {
 	c, err := f.controller(network)
 	if err != nil {
@@ -327,13 +340,13 @@ func (f *Fleet) ReplayEpisode(network string, set *ScenarioSet, i int, onset boo
 	if err != nil {
 		return err
 	}
-	if set == nil || set.net != m.net {
+	if set == nil || set.net != m.Net {
 		return fmt.Errorf("repro: scenario set was built from a different network")
 	}
 	if i < 0 || i >= set.Size() {
 		return fmt.Errorf("repro: episode %d out of range [0,%d)", i, set.Size())
 	}
-	ep := scenario.EpisodeAt(m.net.g, set.set, i)
+	ep := scenario.EpisodeAt(m.Net.g, set.set, i)
 	events := ep.Onset
 	if !onset {
 		events = ep.Recovery

@@ -112,6 +112,20 @@ func TestFleetRejectsWholeBatchUpfront(t *testing.T) {
 	}); err == nil {
 		t.Fatal("malformed event admitted")
 	}
+	// Shape errors only a shard can see — a link or a delta pair out of
+	// the second network's range — also reject the first network's part.
+	if _, err := f.Enqueue([]ControlEvent{
+		{Kind: "link-down", Link: 1, Network: "east"},
+		{Kind: "link-down", Link: 9999, Network: "west"},
+	}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("out-of-range link error = %v", err)
+	}
+	if _, err := f.Enqueue([]ControlEvent{
+		{Kind: "link-down", Link: 2, Network: "east"},
+		{Kind: "demand-delta", Network: "west", DeltaD: &DemandDelta{Entries: []DemandDeltaEntry{{S: 0, T: 99, New: 5}}}},
+	}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("out-of-range delta pair error = %v", err)
+	}
 	f.QuiesceAll()
 	st := f.FleetState()
 	for _, sh := range st.Shards {

@@ -273,17 +273,16 @@ func (s *Selector) flushLinks(m *metrics, pend []scenario.Event, trace, parent u
 // span, the enclosing observe.batch span); both zero starts a fresh
 // trace per event, which is the Observe behavior.
 func (s *Selector) observe(e scenario.Event, trace, parent uint64) error {
+	if err := s.Validate(e); err != nil {
+		return err
+	}
 	m := met.Get()
 	var t0 time.Time
 	if m != nil {
 		t0 = time.Now()
 	}
-	n := s.ev.Graph().NumNodes()
 	switch e.Kind {
 	case scenario.EventLinkDown, scenario.EventLinkUp:
-		if e.Link < 0 || e.Link >= len(s.down) {
-			return fmt.Errorf("ctrl: link %d out of range [0,%d)", e.Link, len(s.down))
-		}
 		up := e.Kind == scenario.EventLinkUp
 		if s.down[e.Link] != up {
 			if m != nil {
@@ -312,12 +311,6 @@ func (s *Selector) observe(e scenario.Event, trace, parent uint64) error {
 			s.maybeFlight(m, "observe", msg, dur)
 		}
 	case scenario.EventDemand:
-		if e.DemD != nil && e.DemD.Size() != n {
-			return fmt.Errorf("ctrl: demand matrix size %d does not match %d nodes", e.DemD.Size(), n)
-		}
-		if e.DemT != nil && e.DemT.Size() != n {
-			return fmt.Errorf("ctrl: demand matrix size %d does not match %d nodes", e.DemT.Size(), n)
-		}
 		if s.effectiveD().Equal(s.effective(e.DemD, s.ev.DemandDelay())) &&
 			s.effectiveT().Equal(s.effective(e.DemT, s.ev.DemandThroughput())) {
 			if m != nil {
@@ -338,12 +331,6 @@ func (s *Selector) observe(e scenario.Event, trace, parent uint64) error {
 			s.maybeFlight(m, "observe", msg, dur)
 		}
 	case scenario.EventDemandDelta:
-		if err := e.DeltaD.Validate(n); err != nil {
-			return fmt.Errorf("ctrl: %w", err)
-		}
-		if err := e.DeltaT.Validate(n); err != nil {
-			return fmt.Errorf("ctrl: %w", err)
-		}
 		chgD := deltaChanges(s.effectiveD(), e.DeltaD)
 		chgT := deltaChanges(s.effectiveT(), e.DeltaT)
 		if !chgD && !chgT {
@@ -377,8 +364,6 @@ func (s *Selector) observe(e scenario.Event, trace, parent uint64) error {
 			m.trace.Record("observe", msg)
 			s.maybeFlight(m, "observe", msg, dur)
 		}
-	default:
-		return fmt.Errorf("ctrl: unknown event kind %d", e.Kind)
 	}
 	s.events++
 	return nil

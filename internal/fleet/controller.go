@@ -17,8 +17,8 @@ import (
 // session per configuration), advises which configuration fits the
 // conditions best, plans bounded-change migrations toward it, and
 // snapshots/restores its state for checkpointing. It is safe for
-// concurrent use; the repro facade wraps it with wire-event conversion,
-// and a Shard wraps it with an intake queue and a durable event log.
+// concurrent use. A Shard wraps it with an intake queue and a durable
+// event log, and the repro Fleet facade reaches it only through one.
 type Controller struct {
 	mu       sync.Mutex
 	ev       *routing.Evaluator

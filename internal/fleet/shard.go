@@ -268,10 +268,8 @@ func (s *Shard) Enqueue(events []scenario.Event) (ingest.Result, error) {
 	default:
 		return ingest.Result{}, ingest.ErrClosed
 	}
-	for i := range events {
-		if err := s.ctrl.Validate(events[i]); err != nil {
-			return ingest.Result{}, fmt.Errorf("event %d: %w", i, err)
-		}
+	if err := validate(s.ctrl, events); err != nil {
+		return ingest.Result{}, err
 	}
 	res, err := s.intake.Enqueue(events)
 	if err != nil {
@@ -293,6 +291,27 @@ func (s *Shard) Enqueue(events []scenario.Event) (ingest.Result, error) {
 		m.events(s.cfg.Network).Add(int64(len(events)))
 	}
 	return ingest.Result{Accepted: res.Accepted, LastSeq: s.seq}, nil
+}
+
+// Validate checks a batch's shape against the shard's network, exactly
+// as Enqueue does before admission, without admitting it. Callers
+// splitting one batch across several shards validate every part first,
+// so a malformed event rejects the whole batch. It works in any shard
+// state: the network's shape survives crash rebuilds.
+func (s *Shard) Validate(events []scenario.Event) error {
+	s.mu.Lock()
+	c := s.ctrl
+	s.mu.Unlock()
+	return validate(c, events)
+}
+
+func validate(c *Controller, events []scenario.Event) error {
+	for i := range events {
+		if err := c.Validate(events[i]); err != nil {
+			return fmt.Errorf("event %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Feed admits a batch and waits until it has been delivered — the
