@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro"
@@ -126,6 +128,26 @@ func TestFleetHTTPRoutingByNetwork(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/observe", bad, nil); code != http.StatusBadRequest {
 		t.Fatalf("unknown-network batch returned %d", code)
+	}
+	// A malformed event is named by its index in the posted batch, and
+	// dense demand matrices ("demd"/"demt") are not accepted on the wire.
+	zeros := `{"n":8,"demands":[` + strings.Repeat("0,", 63) + `0]}`
+	for _, tc := range []struct{ body, want string }{
+		{`[{"kind":"link-down","link":1,"network":"east"},{"kind":"link-down","link":2,"network":"east"},` +
+			`{"kind":"link-down","link":9999,"network":"west"}]`, "event 2: "},
+		{`[{"kind":"link-down","link":1},{"kind":"demand-scale","scale":2,"demd":` + zeros + `}]`, "event 1: "},
+		{`[{"kind":"link-down","link":1},{"kind":"demand","demt":` + zeros + `}]`, "event 1: "},
+	} {
+		resp, err := http.Post(ts.URL+"/observe", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(e.Error, tc.want) {
+			t.Fatalf("POST %s: %d %q (%v), want 400 starting %q", tc.body, resp.StatusCode, e.Error, err, tc.want)
+		}
 	}
 	f.QuiesceAll()
 	st2, err := f.State("east")

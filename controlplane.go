@@ -136,57 +136,19 @@ type DemandDelta = traffic.Delta
 // DemandDeltaEntry is one entry of a DemandDelta.
 type DemandDeltaEntry = traffic.DeltaEntry
 
-// ControlEvent is one telemetry update fed to a Fleet: a directed link
-// going down or coming back, a uniform demand-scale update, or a sparse
-// demand-delta update. Richer dense traffic shifts enter through
-// Fleet.ReplayEpisode, which replays scenario-set episodes.
-type ControlEvent struct {
-	// Kind is "link-down", "link-up", "demand-scale" or "demand-delta".
-	Kind string
-	// Network names the network the event belongs to: Fleet routes
-	// each event to the named shard, and an empty Network means the
-	// fleet's default, first-configured network.
-	Network string
-	// Link is the directed link index of a link event.
-	Link int
-	// Scale multiplies the base demand matrices of both classes on a
-	// "demand-scale" event; 0 or 1 restores the base traffic.
-	Scale float64
-	// DeltaD and DeltaT are the per-class sparse updates of a
-	// "demand-delta" event (nil = no change in that class), applied on
-	// top of the demand state currently in effect.
-	DeltaD, DeltaT *DemandDelta
-	// Label is an optional provenance tag (producer ID, sequence echo)
-	// carried through the intake pipeline to audit taps; it does not
-	// affect evaluation.
-	Label string
-}
-
-// toEvent converts one wire event to the engine's scenario event. It
-// holds no lock: it reads only the immutable base demand matrices, so
-// Fleet.Enqueue can convert batches without serializing against
-// selector work.
-func (n *Network) toEvent(e ControlEvent) (scenario.Event, error) {
-	switch e.Kind {
-	case "link-down":
-		return scenario.Event{Kind: scenario.EventLinkDown, Link: e.Link, Label: e.Label}, nil
-	case "link-up":
-		return scenario.Event{Kind: scenario.EventLinkUp, Link: e.Link, Label: e.Label}, nil
-	case "demand-scale":
-		if e.Scale < 0 {
-			return scenario.Event{}, fmt.Errorf("repro: negative demand scale %g", e.Scale)
-		}
-		ev := scenario.Event{Kind: scenario.EventDemand, Label: e.Label}
-		if e.Scale != 0 && e.Scale != 1 {
-			ev.DemD = n.demD.Clone().Scale(e.Scale)
-			ev.DemT = n.demT.Clone().Scale(e.Scale)
-		}
-		return ev, nil
-	case "demand-delta":
-		return scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: e.DeltaD, DeltaT: e.DeltaT, Label: e.Label}, nil
-	}
-	return scenario.Event{}, fmt.Errorf("repro: unknown event kind %q (link-down|link-up|demand-scale|demand-delta)", e.Kind)
-}
+// ControlEvent is one telemetry update fed to a Fleet, and the JSON
+// object an /observe body carries: a directed link going down or coming
+// back ("link-down"/"link-up" with "link"), a uniform demand-scale
+// update ("demand-scale" with "scale"; 0 or 1 restores the base
+// traffic), or a sparse demand-delta update ("demand-delta" with
+// "deltad"/"deltat"). "network" routes the event to a fleet member ("" =
+// the default network) and "label" is an optional provenance tag
+// carried to audit taps. It is the engine's event type itself, so it
+// reaches the intake, the selector and the event log unconverted; Fleet
+// admits only these four kinds and no dense matrices. Richer dense
+// traffic shifts enter through Fleet.ReplayEpisode, which replays
+// scenario-set episodes.
+type ControlEvent = scenario.Event
 
 // Advice reports the configuration a network's controller would run
 // now.

@@ -48,9 +48,11 @@
 // asynchronous intake queue with an independent lifecycle and crash
 // isolation, and — when a checkpoint directory is configured — durable
 // checkpoint/restore (snapshot + write-ahead event log) that recovers
-// a bit-identical controller. Telemetry routes to shards by the
-// ControlEvent Network field; a single network is a one-member fleet,
-// addressed as "":
+// a bit-identical controller. A ControlEvent is the engine's event
+// type itself, so one compact record (a link index, a demand scale, a
+// sparse delta) travels unconverted from the /observe body through the
+// queue to the event log. Telemetry routes to shards by its Network
+// field; a single network is a one-member fleet, addressed as "":
 //
 //	lib, _ := net.BuildLibrary(set, repro.LibraryOptions{Size: 4})
 //	f, _ := repro.NewFleet([]repro.FleetMember{

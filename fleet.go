@@ -197,7 +197,8 @@ type FleetIntakeResult struct {
 // the default network) and admits each sub-batch into its shard's
 // intake queue. An unknown network or a malformed event rejects the
 // whole batch before any admission: every sub-batch is validated
-// against its shard before the first one is admitted. Admission itself
+// against its shard before the first one is admitted, and the error
+// names the offending event by its index in events. Admission itself
 // is all-or-nothing per shard, not across shards: a full queue sheds
 // only that network's sub-batch (the result lists it in Shed and the
 // error is ErrIntakeFull, surfaced as 429 + Retry-After), and a
@@ -211,6 +212,7 @@ func (f *Fleet) Enqueue(events []ControlEvent) (FleetIntakeResult, error) {
 		name string
 		sh   *fleet.Shard
 		evs  []scenario.Event
+		pos  []int // each event's index in the posted batch
 	}
 	byName := make(map[string]*group)
 	var groups []*group
@@ -219,21 +221,26 @@ func (f *Fleet) Enqueue(events []ControlEvent) (FleetIntakeResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("event %d: %w", i, err)
 		}
-		ev, err := m.Net.toEvent(e)
-		if err != nil {
-			return res, fmt.Errorf("event %d: %w", i, err)
+		switch e.Kind {
+		case scenario.EventLinkDown, scenario.EventLinkUp, scenario.EventDemandScale, scenario.EventDemandDelta:
+		default:
+			return res, fmt.Errorf("event %d: repro: unknown event kind %q (link-down|link-up|demand-scale|demand-delta)", i, e.Kind)
 		}
+		e.Network = "" // a routing key only: shards queue and log network-free events
 		g := byName[m.Name]
 		if g == nil {
 			g = &group{name: m.Name, sh: sh}
 			byName[m.Name] = g
 			groups = append(groups, g)
 		}
-		g.evs = append(g.evs, ev)
+		g.evs = append(g.evs, e)
+		g.pos = append(g.pos, i)
 	}
+	// Shape checks only the shard can make (link and pair ranges, no
+	// dense matrices, finite demand values) run before any admission.
 	for _, g := range groups {
-		if err := g.sh.Validate(g.evs); err != nil {
-			return res, fmt.Errorf("network %s: %w", g.name, err)
+		if j, err := g.sh.Validate(g.evs); err != nil {
+			return res, fmt.Errorf("event %d: network %s: %w", g.pos[j], g.name, err)
 		}
 	}
 	var full, down bool

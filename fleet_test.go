@@ -3,8 +3,12 @@ package repro
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/traffic"
 )
 
 // fleetTestMembers builds a two-network fleet declaration with distinct
@@ -113,12 +117,25 @@ func TestFleetRejectsWholeBatchUpfront(t *testing.T) {
 		t.Fatal("malformed event admitted")
 	}
 	// Shape errors only a shard can see — a link or a delta pair out of
-	// the second network's range — also reject the first network's part.
+	// the second network's range — also reject the first network's part,
+	// and name the event by its index in the posted batch, not in its
+	// network's part of it.
 	if _, err := f.Enqueue([]ControlEvent{
 		{Kind: "link-down", Link: 1, Network: "east"},
+		{Kind: "link-down", Link: 2, Network: "east"},
 		{Kind: "link-down", Link: 9999, Network: "west"},
-	}); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("out-of-range link error = %v", err)
+	}); err == nil || !strings.Contains(err.Error(), "out of range") || !strings.HasPrefix(err.Error(), "event 2: ") {
+		t.Fatalf("out-of-range link error = %v, want it to name event 2", err)
+	}
+	// Dense matrices are not a wire field: a "demand" event and matrices
+	// riding on any other kind are both rejected.
+	for _, e := range []ControlEvent{
+		{Kind: "demand", Network: "west"},
+		{Kind: "demand-scale", Scale: 2, DemT: traffic.NewMatrix(8)},
+	} {
+		if _, err := f.Enqueue([]ControlEvent{{Kind: "link-down", Link: 1}, e}); err == nil || !strings.HasPrefix(err.Error(), "event 1: ") {
+			t.Fatalf("%s event with matrices: error = %v", e.Kind, err)
+		}
 	}
 	if _, err := f.Enqueue([]ControlEvent{
 		{Kind: "link-down", Link: 2, Network: "east"},
@@ -239,6 +256,58 @@ func TestFleetCheckpointRestore(t *testing.T) {
 	}
 	if gotWest.Deployed != wantWest.Deployed || len(gotWest.DownLinks) != 1 || gotWest.DownLinks[0] != 2 {
 		t.Fatalf("west state lost across restart:\nwant %+v\ngot  %+v", wantWest, gotWest)
+	}
+}
+
+// TestFleetRejectsNonFiniteDemand pins that demand values the event log
+// cannot hold — a NaN, infinite or negative scale, a NaN or infinite
+// delta entry — are rejected at admission: they never reach the
+// sessions or the log, and a crash afterwards restores the shard from
+// its log instead of cold-starting.
+func TestFleetRejectsNonFiniteDemand(t *testing.T) {
+	f, err := NewFleet(fleetTestMembers(t), FleetOptions{CheckpointDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFleet(t, f)
+	if _, err := f.Enqueue([]ControlEvent{{Kind: "link-down", Link: 1}, {Kind: "demand-scale", Scale: 1.5}}); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, e := range []ControlEvent{
+		{Kind: "demand-scale", Scale: inf},
+		{Kind: "demand-scale", Scale: -inf},
+		{Kind: "demand-scale", Scale: nan},
+		{Kind: "demand-scale", Scale: -1},
+		{Kind: "demand-delta", DeltaD: &DemandDelta{Entries: []DemandDeltaEntry{{S: 0, T: 1, Old: 1, New: nan}}}},
+		{Kind: "demand-delta", DeltaT: &DemandDelta{Entries: []DemandDeltaEntry{{S: 0, T: 1, Old: inf, New: 2}}}},
+	} {
+		if _, err := f.Enqueue([]ControlEvent{e}); err == nil {
+			t.Errorf("%s event %+v admitted", e.Kind, e)
+		}
+	}
+	// A valid event after the rejected ones: the log must stay gap-free.
+	if _, err := f.Enqueue([]ControlEvent{{Kind: "link-down", Link: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	f.QuiesceAll()
+	want, err := f.State("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Kill(""); err != nil {
+		t.Fatal(err)
+	}
+	sh := f.FleetState().Shards[0]
+	if sh.ColdStart || sh.LogError != "" || sh.Seq != 3 || sh.Replayed != 3 {
+		t.Fatalf("restore after rejected events: %+v", sh)
+	}
+	got, err := f.State("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("state diverged after kill:\nwant %+v\ngot  %+v", want, got)
 	}
 }
 

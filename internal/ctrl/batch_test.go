@@ -1,6 +1,8 @@
 package ctrl
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -153,6 +155,46 @@ func TestObserveBatchValidationAborts(t *testing.T) {
 	}
 	if sel.Events() != 0 || len(sel.DownLinks()) != 0 {
 		t.Fatalf("rejected batch mutated state: events=%d down=%v", sel.Events(), sel.DownLinks())
+	}
+}
+
+// TestDemandScaleIsDenseExpansion: a demand-scale event leaves the
+// selector exactly where the dense event base×scale does (nil matrices
+// at 0 or 1), restatements included, and Validate admits only finite,
+// non-negative scales and no matrices outside a dense demand event.
+func TestDemandScaleIsDenseExpansion(t *testing.T) {
+	ev, dense, scaled := batchTestSelectors(t, 8, 32, 13)
+	for _, f := range []float64{1.5, 1.5, 0.7, 1, 0, 2} {
+		e := scenario.Event{Kind: scenario.EventDemand}
+		if f != 0 && f != 1 {
+			e.DemD = ev.DemandDelay().Clone().Scale(f)
+			e.DemT = ev.DemandThroughput().Clone().Scale(f)
+		}
+		if err := dense.Observe(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := scaled.Observe(scenario.Event{Kind: scenario.EventDemandScale, Scale: f}); err != nil {
+			t.Fatal(err)
+		}
+		sameSelectorState(t, dense, scaled, fmt.Sprintf("scale %g", f))
+		dD, dT := dense.Demands()
+		sD, sT := scaled.Demands()
+		if !dD.Equal(sD) || !dT.Equal(sT) || dense.Events() != scaled.Events() {
+			t.Fatalf("scale %g: demands or event count diverged (%d vs %d events)", f, dense.Events(), scaled.Events())
+		}
+	}
+	m := ev.DemandDelay().Clone()
+	for _, e := range []scenario.Event{
+		{Kind: scenario.EventDemandScale, Scale: -1},
+		{Kind: scenario.EventDemandScale, Scale: math.NaN()},
+		{Kind: scenario.EventDemandScale, Scale: math.Inf(1)},
+		{Kind: scenario.EventDemandScale, Scale: 2, DemD: m},
+		{Kind: scenario.EventDemandDelta, DemT: m},
+		{Kind: scenario.EventLinkDown, Link: 1, DemD: m},
+	} {
+		if err := scaled.Validate(e); err == nil {
+			t.Errorf("invalid event accepted: %+v", e)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -124,9 +125,10 @@ func (s *Selector) Mask() *graph.Mask {
 }
 
 // Observe folds one telemetry event into every candidate session. Link
-// events re-score incrementally (SetLinkState). Dense demand events
-// diff against the current matrices inside each session (SetDemands),
-// so only changed destination columns recompute; sparse demand-delta
+// events re-score incrementally (SetLinkState). Dense demand events —
+// and demand-scale events, expanded here to base×scale — diff against
+// the current matrices inside each session (SetDemands), so only
+// changed destination columns recompute; sparse demand-delta
 // events skip the dense matrices entirely (ApplyDemandDelta). No-op
 // events — duplicate link states, demand matrices equal to the ones in
 // effect, deltas restating current values — are deduplicated here and
@@ -136,11 +138,15 @@ func (s *Selector) Observe(e scenario.Event) error {
 }
 
 // Validate checks an event's shape against the network — link index in
-// range, demand matrices sized to the node count, delta entries valid —
-// without touching any state. ObserveBatch validates a whole batch
-// upfront so a malformed event aborts before any mutation.
+// range, demand matrices sized to the node count and carried only by a
+// dense demand event, a finite non-negative scale, delta entries valid
+// and finite — without touching any state. ObserveBatch validates a
+// whole batch upfront so a malformed event aborts before any mutation.
 func (s *Selector) Validate(e scenario.Event) error {
 	n := s.ev.Graph().NumNodes()
+	if e.Kind != scenario.EventDemand && (e.DemD != nil || e.DemT != nil) {
+		return fmt.Errorf("ctrl: %s event carries dense demand matrices (demd/demt)", e.Kind)
+	}
 	switch e.Kind {
 	case scenario.EventLinkDown, scenario.EventLinkUp:
 		if e.Link < 0 || e.Link >= len(s.down) {
@@ -153,6 +159,10 @@ func (s *Selector) Validate(e scenario.Event) error {
 		if e.DemT != nil && e.DemT.Size() != n {
 			return fmt.Errorf("ctrl: demand matrix size %d does not match %d nodes", e.DemT.Size(), n)
 		}
+	case scenario.EventDemandScale:
+		if !(e.Scale >= 0) || math.IsInf(e.Scale, 1) {
+			return fmt.Errorf("ctrl: demand scale %g is not a finite non-negative number", e.Scale)
+		}
 	case scenario.EventDemandDelta:
 		if err := e.DeltaD.Validate(n); err != nil {
 			return fmt.Errorf("ctrl: %w", err)
@@ -161,7 +171,7 @@ func (s *Selector) Validate(e scenario.Event) error {
 			return fmt.Errorf("ctrl: %w", err)
 		}
 	default:
-		return fmt.Errorf("ctrl: unknown event kind %d", e.Kind)
+		return fmt.Errorf("ctrl: unknown event kind %q", e.Kind)
 	}
 	return nil
 }
@@ -280,6 +290,9 @@ func (s *Selector) observe(e scenario.Event, trace, parent uint64) error {
 	var t0 time.Time
 	if m != nil {
 		t0 = time.Now()
+	}
+	if e.Kind == scenario.EventDemandScale {
+		e = s.scaled(e)
 	}
 	switch e.Kind {
 	case scenario.EventLinkDown, scenario.EventLinkUp:
@@ -465,6 +478,18 @@ func (s *Selector) maybeFlight(m *metrics, kind, detail string, dur time.Duratio
 		Duration: dur,
 		Spans:    m.reg.Spans().TraceSpans(s.lastTrace),
 	})
+}
+
+// scaled renders a demand-scale event as the dense demand event it
+// stands for: the base matrices of both classes times Scale, or nil
+// (base traffic) at 0 or 1.
+func (s *Selector) scaled(e scenario.Event) scenario.Event {
+	dense := scenario.Event{Kind: scenario.EventDemand, Label: e.Label}
+	if e.Scale != 0 && e.Scale != 1 {
+		dense.DemD = s.ev.DemandDelay().Clone().Scale(e.Scale)
+		dense.DemT = s.ev.DemandThroughput().Clone().Scale(e.Scale)
+	}
+	return dense
 }
 
 // effective resolves a possibly-nil override matrix to the matrix in

@@ -56,52 +56,12 @@ type Snapshot struct {
 	DemT *traffic.Matrix `json:"demt,omitempty"`
 }
 
-// wireEvent is the event-log form of a scenario.Event, using the same
-// kind names as the HTTP wire format.
-type wireEvent struct {
-	Kind   string          `json:"kind"`
-	Link   int             `json:"link,omitempty"`
-	DemD   *traffic.Matrix `json:"demd,omitempty"`
-	DemT   *traffic.Matrix `json:"demt,omitempty"`
-	DeltaD *traffic.Delta  `json:"deltad,omitempty"`
-	DeltaT *traffic.Delta  `json:"deltat,omitempty"`
-	Label  string          `json:"label,omitempty"`
-}
-
-func encodeEvent(e scenario.Event) wireEvent {
-	return wireEvent{
-		Kind:   e.Kind.String(),
-		Link:   e.Link,
-		DemD:   e.DemD,
-		DemT:   e.DemT,
-		DeltaD: e.DeltaD,
-		DeltaT: e.DeltaT,
-		Label:  e.Label,
-	}
-}
-
-func (w wireEvent) event() (scenario.Event, error) {
-	e := scenario.Event{Link: w.Link, DemD: w.DemD, DemT: w.DemT, DeltaD: w.DeltaD, DeltaT: w.DeltaT, Label: w.Label}
-	switch w.Kind {
-	case scenario.EventLinkDown.String():
-		e.Kind = scenario.EventLinkDown
-	case scenario.EventLinkUp.String():
-		e.Kind = scenario.EventLinkUp
-	case scenario.EventDemand.String():
-		e.Kind = scenario.EventDemand
-	case scenario.EventDemandDelta.String():
-		e.Kind = scenario.EventDemandDelta
-	default:
-		return scenario.Event{}, fmt.Errorf("unknown event kind %q", w.Kind)
-	}
-	return e, nil
-}
-
 // LogRecord is one replayable event-log entry: the shard-wide sequence
-// number of the event and the event itself.
+// number of the event and the event itself, in the event's own JSON
+// form (the /observe wire names and keys).
 type LogRecord struct {
-	Seq   uint64    `json:"seq"`
-	Event wireEvent `json:"event"`
+	Seq   uint64         `json:"seq"`
+	Event scenario.Event `json:"event"`
 }
 
 const (
@@ -183,7 +143,7 @@ func (st *Store) Append(seq uint64, events []scenario.Event) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for i, e := range events {
-		if err := enc.Encode(LogRecord{Seq: seq + uint64(i), Event: encodeEvent(e)}); err != nil {
+		if err := enc.Encode(LogRecord{Seq: seq + uint64(i), Event: e}); err != nil {
 			return fmt.Errorf("fleet: encode event log record: %w", err)
 		}
 	}
@@ -287,8 +247,10 @@ func parseLog(path string, raw []byte, base uint64) ([]LogRecord, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("%w: event log %s record %d unparseable: %v", ErrCorrupt, path, i+1, err)
 		}
-		if _, err := rec.Event.event(); err != nil {
-			return nil, fmt.Errorf("%w: event log %s record %d: %v", ErrCorrupt, path, i+1, err)
+		switch rec.Event.Kind {
+		case scenario.EventLinkDown, scenario.EventLinkUp, scenario.EventDemand, scenario.EventDemandDelta, scenario.EventDemandScale:
+		default:
+			return nil, fmt.Errorf("%w: event log %s record %d: unknown event kind %q", ErrCorrupt, path, i+1, rec.Event.Kind)
 		}
 		if prev != 0 && rec.Seq != prev+1 {
 			return nil, fmt.Errorf("%w: event log %s record %d has seq %d after %d (sequence gap)",

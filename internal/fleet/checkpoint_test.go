@@ -120,6 +120,21 @@ func TestCheckpointCorruption(t *testing.T) {
 			wantErr: "unparseable",
 		},
 		{
+			name: "unknown event kind",
+			corrupt: func(t *testing.T, dir string) {
+				p := filepath.Join(dir, "events.log")
+				data, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := strings.Replace(string(data), `"kind":"`, `"kind":"bogus-`, 1)
+				if err := os.WriteFile(p, []byte(s), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: "unknown event kind",
+		},
+		{
 			name: "sequence gap",
 			corrupt: func(t *testing.T, dir string) {
 				p := filepath.Join(dir, "events.log")

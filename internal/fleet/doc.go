@@ -9,7 +9,8 @@
 // migration), moved here from the repro facade — behind its own
 // ingest.Intake queue and a durable checkpoint Store. Admissions are
 // write-ahead: every accepted batch is appended to the shard's event
-// log, in admission order, before it is acknowledged. Periodic
+// log, in admission order, before it is acknowledged; each record holds
+// the scenario.Event itself in its JSON form. Periodic
 // checkpoints quiesce the queue, atomically replace a JSON snapshot of
 // the controller's durable state (deployed weights, active config,
 // down-link set, demand overrides, event counter) and reset the log.
@@ -21,9 +22,9 @@
 // (float64) round-trip exactly through JSON, the recovered controller
 // is bit-identical to one that never crashed; a randomized kill/restore
 // equivalence suite enforces this. A corrupt checkpoint — truncated
-// snapshot, torn log tail, sequence gap, version mismatch — always
-// fails closed (ErrCorrupt): the damaged files are archived and the
-// shard cold-starts, never half-restores.
+// snapshot, torn log tail, unknown event kind, sequence gap, version
+// mismatch — always fails closed (ErrCorrupt): the damaged files are
+// archived and the shard cold-starts, never half-restores.
 //
 // Crash isolation: a panic in a shard's delivery path condemns only
 // that shard's controller generation. Deliveries into the condemned

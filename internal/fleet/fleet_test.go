@@ -48,7 +48,8 @@ func testLibrary(t testing.TB, ev *routing.Evaluator, k int, seed int64) *ctrl.L
 // eventStream renders a deterministic random telemetry stream against
 // the evaluator's network: link flaps, sparse hot-spot deltas (onset
 // and inverse, so demands keep drifting but stay positive), and
-// occasional dense demand updates.
+// occasional dense demand updates, as matrices or as demand-scale
+// events.
 func eventStream(ev *routing.Evaluator, n int, seed int64) []scenario.Event {
 	rng := rand.New(rand.NewSource(seed))
 	g := ev.Graph()
@@ -79,8 +80,9 @@ func eventStream(ev *routing.Evaluator, n int, seed int64) []scenario.Event {
 			if len(pendingInverse) > 0 {
 				out = append(out, scenario.Event{Kind: scenario.EventDemandDelta, DeltaD: pendingInverse[0]})
 				pendingInverse = pendingInverse[1:]
+			} else if f := 0.8 + rng.Float64(); rng.Intn(2) == 0 {
+				out = append(out, scenario.Event{Kind: scenario.EventDemandScale, Scale: f})
 			} else {
-				f := 0.8 + rng.Float64()
 				out = append(out, scenario.Event{
 					Kind: scenario.EventDemand,
 					DemD: ev.DemandDelay().Clone().Scale(f),

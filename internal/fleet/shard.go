@@ -188,7 +188,7 @@ func (s *Shard) recover() (*Controller, error) {
 	if len(recs) > 0 {
 		events := make([]scenario.Event, len(recs))
 		for i, r := range recs {
-			events[i], _ = r.Event.event() // decodability validated by Load
+			events[i] = r.Event
 		}
 		if err := replay(c, events); err != nil {
 			return s.recoverCold(fmt.Errorf("%w: log replay: %v", ErrCorrupt, err))
@@ -268,8 +268,8 @@ func (s *Shard) Enqueue(events []scenario.Event) (ingest.Result, error) {
 	default:
 		return ingest.Result{}, ingest.ErrClosed
 	}
-	if err := validate(s.ctrl, events); err != nil {
-		return ingest.Result{}, err
+	if i, err := validate(s.ctrl, events); err != nil {
+		return ingest.Result{}, fmt.Errorf("event %d: %w", i, err)
 	}
 	res, err := s.intake.Enqueue(events)
 	if err != nil {
@@ -294,24 +294,25 @@ func (s *Shard) Enqueue(events []scenario.Event) (ingest.Result, error) {
 }
 
 // Validate checks a batch's shape against the shard's network, exactly
-// as Enqueue does before admission, without admitting it. Callers
+// as Enqueue does before admission, without admitting it; on failure it
+// returns the index of the first malformed event and the cause. Callers
 // splitting one batch across several shards validate every part first,
 // so a malformed event rejects the whole batch. It works in any shard
 // state: the network's shape survives crash rebuilds.
-func (s *Shard) Validate(events []scenario.Event) error {
+func (s *Shard) Validate(events []scenario.Event) (int, error) {
 	s.mu.Lock()
 	c := s.ctrl
 	s.mu.Unlock()
 	return validate(c, events)
 }
 
-func validate(c *Controller, events []scenario.Event) error {
+func validate(c *Controller, events []scenario.Event) (int, error) {
 	for i := range events {
 		if err := c.Validate(events[i]); err != nil {
-			return fmt.Errorf("event %d: %w", i, err)
+			return i, err
 		}
 	}
-	return nil
+	return -1, nil
 }
 
 // Feed admits a batch and waits until it has been delivered — the

@@ -61,9 +61,11 @@ func (a *deltaAcc) delta() *traffic.Delta {
 //
 //   - Link events coalesce last-wins per link: only the final observed
 //     state of each link survives, in first-seen link order.
-//   - Dense demand events (EventDemand) stomp everything demand-shaped
-//     before them: an earlier dense event or merged delta entries are
-//     superseded because SetDemands replaces the whole matrix state.
+//   - Dense demand events (EventDemand, and EventDemandScale, which the
+//     selector expands to base×scale) stomp everything demand-shaped
+//     before them: an earlier dense or scale event or merged delta
+//     entries are superseded because SetDemands replaces the whole
+//     matrix state.
 //   - Demand-delta events merge per (S,T) pair and traffic class: the
 //     first Old and the latest New survive, composing on top of the
 //     latest dense event (if any).
@@ -102,7 +104,7 @@ func Coalesce(events []scenario.Event) ([]scenario.Event, CoalesceStats) {
 			}
 			linkIdx[e.Link] = len(links)
 			links = append(links, *e)
-		case scenario.EventDemand:
+		case scenario.EventDemand, scenario.EventDemandScale:
 			nDense++
 			ev := *e
 			dense = &ev

@@ -96,6 +96,30 @@ func TestCoalesceDenseStompsDeltas(t *testing.T) {
 	}
 }
 
+// TestCoalesceScaleStompsLikeDense: a demand-scale event supersedes
+// earlier dense events and deltas, and a later dense event supersedes
+// it, exactly as between two dense events.
+func TestCoalesceScaleStompsLikeDense(t *testing.T) {
+	scale := scenario.Event{Kind: scenario.EventDemandScale, Scale: 1.5}
+	in := []scenario.Event{
+		{Kind: scenario.EventDemand, DemD: traffic.NewMatrix(4)},   // superseded by scale
+		deltaEvent(traffic.DeltaEntry{S: 0, T: 2, Old: 1, New: 5}), // superseded by scale
+		scale,
+		deltaEvent(traffic.DeltaEntry{S: 1, T: 3, Old: 0, New: 2}), // composes on top
+	}
+	out, st := Coalesce(in)
+	if len(out) != 2 || out[0] != scale || out[1].Kind != scenario.EventDemandDelta || out[1].DeltaT.Len() != 1 {
+		t.Fatalf("coalesced = %+v", out)
+	}
+	if st.Demand != 1 || st.Delta != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	out, _ = Coalesce(append(in, scenario.Event{Kind: scenario.EventDemand}))
+	if len(out) != 1 || out[0].Kind != scenario.EventDemand {
+		t.Fatalf("dense after scale: coalesced = %+v", out)
+	}
+}
+
 func TestCoalesceEmptyAndSingle(t *testing.T) {
 	if out, st := Coalesce(nil); len(out) != 0 || st.In != 0 || st.Out != 0 {
 		t.Fatalf("nil input: %v %+v", out, st)

@@ -50,8 +50,9 @@ func equivSelector(t testing.TB, ev *routing.Evaluator, seed int64) *ctrl.Select
 
 // streamGen emits a random interleaved telemetry stream: ~50% link
 // flaps (including restatements and flap/unflap pairs), ~40% sparse
-// demand deltas, ~10% dense demand updates (scaled matrices alternating
-// with resets to base). It tracks the effective demand state so delta
+// demand deltas, ~10% dense demand updates (scaled surges alternating
+// with resets to base, each either as matrices or as a demand-scale
+// event). It tracks the effective demand state so delta
 // Old values describe the transition honestly, like a real feed would.
 type streamGen struct {
 	rng       *rand.Rand
@@ -92,12 +93,19 @@ func (g *streamGen) next() scenario.Event {
 		return scenario.Event{Kind: scenario.EventDemandDelta, DeltaT: d}
 	default: // dense update: scaled surge, then reset to base, alternating
 		g.denseFlip = !g.denseFlip
+		scale := g.rng.Intn(2) == 0 // as a demand-scale event, not matrices
 		if g.denseFlip {
-			scaled := g.ev.DemandThroughput().Clone().Scale(1.0 + g.rng.Float64())
-			g.demT = scaled.Clone()
-			return scenario.Event{Kind: scenario.EventDemand, DemT: scaled}
+			f := 1.0 + g.rng.Float64()
+			g.demT = g.ev.DemandThroughput().Clone().Scale(f)
+			if scale {
+				return scenario.Event{Kind: scenario.EventDemandScale, Scale: f}
+			}
+			return scenario.Event{Kind: scenario.EventDemand, DemT: g.demT.Clone()}
 		}
 		g.demT = g.ev.DemandThroughput().Clone()
+		if scale {
+			return scenario.Event{Kind: scenario.EventDemandScale, Scale: 1}
+		}
 		return scenario.Event{Kind: scenario.EventDemand} // nil matrices: back to base
 	}
 }

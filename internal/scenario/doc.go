@@ -17,7 +17,11 @@
 // demand updates, and sparse demand deltas — hot-spot surges render as
 // changed-entries-only DemandDelta onset/inverse-recovery pairs) that
 // the control plane's Selector consumes — the bridge between the
-// offline robustness sweeps and the online serving path.
+// offline robustness sweeps and the online serving path. Event is also
+// the control plane's one event representation: the /observe wire
+// form, the intake queue's unit and the event log's record are this
+// struct and its JSON form, with the uniform demand-scale kind carried
+// as its one number until the Selector expands it.
 // DESIGN.md ("The scenario engine") documents the generators' sampling
 // rules and the runner's determinism guarantees.
 package scenario

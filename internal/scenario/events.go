@@ -5,52 +5,45 @@ import (
 	"repro/internal/traffic"
 )
 
-// EventKind discriminates telemetry events.
-type EventKind int
-
+// Event kinds: an Event's Kind holds one of these wire names, the same
+// string in the /observe body, the intake queue and the event log.
 const (
 	// EventLinkDown reports a directed link going down.
-	EventLinkDown EventKind = iota
+	EventLinkDown = "link-down"
 	// EventLinkUp reports a directed link coming back up.
-	EventLinkUp
+	EventLinkUp = "link-up"
 	// EventDemand reports a dense demand-matrix update.
-	EventDemand
+	EventDemand = "demand"
 	// EventDemandDelta reports a sparse demand update: only the changed
 	// (source, destination) entries, applied on top of the demand state
 	// currently in effect.
-	EventDemandDelta
+	EventDemandDelta = "demand-delta"
+	// EventDemandScale reports a uniform demand update: the base demand
+	// matrices of both classes multiplied by Scale. It stays one number
+	// through intake and the event log; the selector expands it into
+	// dense matrices only where its sessions need them.
+	EventDemandScale = "demand-scale"
 )
 
-// String returns the wire name of the kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventLinkDown:
-		return "link-down"
-	case EventLinkUp:
-		return "link-up"
-	case EventDemand:
-		return "demand"
-	case EventDemandDelta:
-		return "demand-delta"
-	}
-	return "unknown"
-}
-
 // Event is one telemetry update in an online stream: a directed link
-// going down or coming back, or a demand-matrix update. It is the unit
-// the control plane's event-driven selector consumes; scenario sets
-// render into event streams via Episodes, so the same generators that
-// stress offline robustness sweeps drive online replay.
+// going down or coming back, or a demand update (dense matrices, a
+// sparse delta or a uniform scale of the base traffic). It is the one
+// event representation of the control plane: the /observe body decodes
+// into it, the intake queues and coalesces it, the event-driven
+// selector consumes it and the event log stores it, JSON key for JSON
+// key. Scenario sets render into event streams via Episodes, so the
+// same generators that stress offline robustness sweeps drive online
+// replay.
 type Event struct {
-	Kind EventKind
+	// Kind is the event's wire name (EventLinkDown, …).
+	Kind string `json:"kind"`
 	// Link is the directed link index of a link event.
-	Link int
+	Link int `json:"link,omitempty"`
 	// DemD and DemT replace the base demand matrices on an EventDemand;
-	// a nil matrix restores the base traffic of that class. On an
-	// EventDemandDelta onset they may additionally carry the dense
-	// rendering of the post-delta state, for consumers that do not
-	// track demand state incrementally.
-	DemD, DemT *traffic.Matrix
+	// a nil matrix restores the base traffic of that class. No other
+	// kind carries them.
+	DemD *traffic.Matrix `json:"demd,omitempty"`
+	DemT *traffic.Matrix `json:"demt,omitempty"`
 	// DeltaD and DeltaT are the sparse demand updates of an
 	// EventDemandDelta, per class (nil = no change in that class),
 	// applied on top of the demand state in effect when the event is
@@ -58,9 +51,18 @@ type Event struct {
 	// demand-delta path (routing.Session.ApplyDemandDelta) so a surge
 	// touching O(1) destination columns costs O(1) column refreshes
 	// instead of a full rebase per candidate configuration.
-	DeltaD, DeltaT *traffic.Delta
-	// Label records provenance (typically the generating scenario name).
-	Label string
+	DeltaD *traffic.Delta `json:"deltad,omitempty"`
+	DeltaT *traffic.Delta `json:"deltat,omitempty"`
+	// Label records provenance (the generating scenario name, a
+	// producer ID); it does not affect evaluation.
+	Label string `json:"label,omitempty"`
+	// Scale multiplies the base demand matrices of both classes on an
+	// EventDemandScale; 0 or 1 restores the base traffic.
+	Scale float64 `json:"scale,omitempty"`
+	// Network routes the event to a fleet member ("" = the default
+	// network). It is a routing key only: the fleet clears it before
+	// the event reaches a shard, so it is never logged.
+	Network string `json:"network,omitempty"`
 }
 
 // DeltaScenario is an optional Scenario extension: scenarios whose
@@ -132,12 +134,11 @@ func renderEpisode(g *graph.Graph, mask *graph.Mask, sc Scenario) Episode {
 	}
 	if demD != nil || demT != nil {
 		// Sparse rendering when the scenario offers one: onset applies
-		// the deltas (the dense matrices ride along for stateless
-		// consumers), recovery applies their exact inverses, returning
+		// the deltas, recovery applies their exact inverses, returning
 		// to the base state bit for bit.
 		if ds, ok := sc.(DeltaScenario); ok {
 			if dd, dt := ds.TrafficDeltas(); dd.Len()+dt.Len() > 0 {
-				ep.Onset = append(ep.Onset, Event{Kind: EventDemandDelta, DeltaD: dd, DeltaT: dt, DemD: demD, DemT: demT, Label: ep.Name})
+				ep.Onset = append(ep.Onset, Event{Kind: EventDemandDelta, DeltaD: dd, DeltaT: dt, Label: ep.Name})
 				ep.Recovery = append(ep.Recovery, Event{Kind: EventDemandDelta, DeltaD: dd.Inverse(), DeltaT: dt.Inverse(), Label: ep.Name})
 				return ep
 			}

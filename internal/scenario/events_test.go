@@ -67,22 +67,24 @@ func TestEpisodesSurgeAndCompound(t *testing.T) {
 	if len(eps) != 3 {
 		t.Fatalf("%d surge episodes", len(eps))
 	}
-	for _, ep := range eps {
-		// Hot-spot surges render sparsely: a demand-delta onset whose
-		// deltas agree with the dense matrices riding along, recovered
-		// by the exact inverse deltas.
+	for i, ep := range eps {
+		// Hot-spot surges render sparsely: a pure demand-delta onset
+		// whose deltas, applied to the base matrices, reproduce the
+		// scenario's surged matrices bit for bit, recovered by the exact
+		// inverse deltas.
 		if len(ep.Onset) != 1 {
 			t.Fatalf("surge onset = %+v", ep.Onset)
 		}
 		on := ep.Onset[0]
-		if on.Kind != EventDemandDelta || on.DemD == nil || on.DemT == nil ||
+		if on.Kind != EventDemandDelta || on.DemD != nil || on.DemT != nil ||
 			on.DeltaD.Len() == 0 || on.DeltaT.Len() == 0 {
 			t.Fatalf("surge onset not sparse: %+v", on)
 		}
+		_, wantD, wantT := surges.Scenarios[i].Apply(graph.NewMask(g))
 		surgedD := demD.Clone().ApplyDelta(on.DeltaD)
 		surgedT := demT.Clone().ApplyDelta(on.DeltaT)
-		if !surgedD.Equal(on.DemD) || !surgedT.Equal(on.DemT) {
-			t.Fatal("onset deltas disagree with the dense matrices")
+		if !surgedD.Equal(wantD) || !surgedT.Equal(wantT) {
+			t.Fatal("onset deltas do not reproduce the surged matrices")
 		}
 		rec := ep.Recovery[len(ep.Recovery)-1]
 		if rec.Kind != EventDemandDelta || rec.DemD != nil || rec.DemT != nil {

@@ -69,7 +69,7 @@ func TestFirehoseReturnsToBase(t *testing.T) {
 			case EventLinkUp:
 				delete(down, e.Link)
 			default:
-				t.Fatalf("unexpected event kind %d in a link-failure stream", e.Kind)
+				t.Fatalf("unexpected event kind %q in a link-failure stream", e.Kind)
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package traffic
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DeltaEntry is one sparse demand change: the pair (S, T) moves from
 // Old to New Mbps. Carrying both sides makes a delta self-inverting
@@ -63,8 +66,8 @@ func (d *Delta) Inverse() *Delta {
 }
 
 // Validate checks the delta against an n-node matrix shape: indices in
-// range, no diagonal entries, no negative demands. A nil delta is
-// valid (no-op).
+// range, no diagonal entries, no negative or non-finite demands. A nil
+// delta is valid (no-op).
 func (d *Delta) Validate(n int) error {
 	if d == nil {
 		return nil
@@ -79,9 +82,14 @@ func (d *Delta) Validate(n int) error {
 		if e.New < 0 || e.Old < 0 {
 			return fmt.Errorf("traffic: delta entry %d: negative demand %g -> %g", i, e.Old, e.New)
 		}
+		if !finite(e.Old) || !finite(e.New) {
+			return fmt.Errorf("traffic: delta entry %d: non-finite demand %g -> %g", i, e.Old, e.New)
+		}
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // ApplyDelta writes every entry's New value into m, in place, and
 // returns m. The delta must validate against m's size (panic

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -48,6 +49,10 @@ func TestDeltaValidate(t *testing.T) {
 		{"diagonal", &Delta{Entries: []DeltaEntry{{S: 2, T: 2, New: 1}}}},
 		{"negative-new", &Delta{Entries: []DeltaEntry{{S: 0, T: 1, New: -3}}}},
 		{"negative-old", &Delta{Entries: []DeltaEntry{{S: 0, T: 1, Old: -3, New: 1}}}},
+		{"nan-new", &Delta{Entries: []DeltaEntry{{S: 0, T: 1, New: math.NaN()}}}},
+		{"inf-new", &Delta{Entries: []DeltaEntry{{S: 0, T: 1, New: math.Inf(1)}}}},
+		{"nan-old", &Delta{Entries: []DeltaEntry{{S: 0, T: 1, Old: math.NaN(), New: 1}}}},
+		{"inf-old", &Delta{Entries: []DeltaEntry{{S: 0, T: 1, Old: math.Inf(1), New: 1}}}},
 	}
 	for _, tc := range cases {
 		if err := tc.d.Validate(4); err == nil {
