@@ -27,6 +27,7 @@ func FuzzDecodeObserveBody(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`"just a string"`))
 	f.Add([]byte(`{"kind":"demand-delta","deltad":{"entries":[{"s":1e308,"t":-5}]}}`))
+	f.Add([]byte(`{"kind":"link-down","demd":{"n":4294967296,"demands":[]}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := decodeObserveBody(bytes.NewReader(data))

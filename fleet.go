@@ -221,9 +221,7 @@ func (f *Fleet) Enqueue(events []ControlEvent) (FleetIntakeResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("event %d: %w", i, err)
 		}
-		switch e.Kind {
-		case scenario.EventLinkDown, scenario.EventLinkUp, scenario.EventDemandScale, scenario.EventDemandDelta:
-		default:
+		if !scenario.KnownKind(e.Kind) || e.Kind == scenario.EventDemand {
 			return res, fmt.Errorf("event %d: repro: unknown event kind %q (link-down|link-up|demand-scale|demand-delta)", i, e.Kind)
 		}
 		e.Network = "" // a routing key only: shards queue and log network-free events

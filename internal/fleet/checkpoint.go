@@ -247,10 +247,14 @@ func parseLog(path string, raw []byte, base uint64) ([]LogRecord, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("%w: event log %s record %d unparseable: %v", ErrCorrupt, path, i+1, err)
 		}
-		switch rec.Event.Kind {
-		case scenario.EventLinkDown, scenario.EventLinkUp, scenario.EventDemand, scenario.EventDemandDelta, scenario.EventDemandScale:
-		default:
+		if !scenario.KnownKind(rec.Event.Kind) {
 			return nil, fmt.Errorf("%w: event log %s record %d: unknown event kind %q", ErrCorrupt, path, i+1, rec.Event.Kind)
+		}
+		if rec.Event.Kind != scenario.EventDemand {
+			// Earlier builds logged delta onsets with dense copies of the
+			// surged matrices, which no consumer ever read; drop them so
+			// those logs still replay.
+			rec.Event.DemD, rec.Event.DemT = nil, nil
 		}
 		if prev != 0 && rec.Seq != prev+1 {
 			return nil, fmt.Errorf("%w: event log %s record %d has seq %d after %d (sequence gap)",

@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -85,6 +88,80 @@ func TestEventLogReadBack(t *testing.T) {
 	}
 }
 
+// parentOnsetLog is a delta onset as earlier builds logged it, with
+// dense copies of the surged matrices next to the deltas. No consumer
+// read the copies; recovery drops them.
+const parentOnsetLog = `{"seq":1,"event":{"kind":"demand-delta","demd":{"n":2,"demands":[0,6,2,0]},"demt":{"n":2,"demands":[0,1,0.25,0]},"deltad":{"entries":[{"s":0,"t":1,"old":1.5,"new":6}]},"deltat":{"entries":[{"s":1,"t":0,"old":2,"new":0.25}]},"label":"surge"}}
+`
+
+// TestEventLogReadBackParentOnset checks that recovery decodes an
+// earlier build's onset record into the delta event alone.
+func TestEventLogReadBackParentOnset(t *testing.T) {
+	recs, err := parseLog("events.log", []byte(parentOnsetLog), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenEvents()[3]
+	if len(recs) != 1 || recs[0].Seq != 1 || !reflect.DeepEqual(recs[0].Event, want) {
+		t.Fatalf("read back %+v, want one record with seq 1 and %+v", recs, want)
+	}
+}
+
+// TestParentOnsetLogReplays checks that a crashed shard whose log holds
+// onset records in the earlier shape restores without a cold start, to
+// the state of a twin that observed the deltas alone.
+func TestParentOnsetLogReplays(t *testing.T) {
+	ev := testEvaluator(t, 8, 40, 41)
+	lib := testLibrary(t, ev, 3, 42)
+	stream := eventStream(ev, 60, 43)
+	var raw bytes.Buffer
+	onsets := 0
+	for i, e := range stream {
+		if e.Kind == scenario.EventDemandDelta {
+			e.DemD = ev.DemandDelay().Clone().ApplyDelta(e.DeltaD)
+			e.DemT = ev.DemandThroughput().Clone()
+			onsets++
+		}
+		line, err := json.Marshal(LogRecord{Seq: uint64(i + 1), Event: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Write(append(line, '\n'))
+	}
+	if onsets == 0 {
+		t.Fatal("stream has no demand-delta events")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, eventLogFile), raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewShard(ShardConfig{
+		Network: "net0",
+		Factory: func() (*Controller, error) { return NewController(ev, lib) },
+		Dir:     dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close(context.Background())
+	if st := sh.Status(); st.ColdStart || st.Replayed != len(stream) {
+		t.Fatalf("shard did not replay the log: %+v", st)
+	}
+	twinEv := testEvaluator(t, 8, 40, 41)
+	twin, err := NewController(twinEv, testLibrary(t, twinEv, 3, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.ObserveBatch(eventStream(twinEv, 60, 43), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := sh.Controller()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, twin, c, "after replaying the earlier log shape")
+}
+
 // FuzzParseLog fuzzes the event-log decoder recovery runs on. Whatever
 // the bytes and the snapshot's sequence number, parseLog either returns
 // a replay run numbered base+1, base+2, … or an error wrapping
@@ -101,6 +178,8 @@ func FuzzParseLog(f *testing.F) {
 	f.Add([]byte("\n"), uint64(0))
 	f.Add([]byte(`{"seq":1,"event":{"kind":"demand","demd":{"n":2,"demands":[1,0,0,0]}}}`+"\n"), uint64(0))
 	f.Add([]byte(`{"seq":1,"event":{"kind":"link-down"},"crc":7}`+"\n"), uint64(0))
+	f.Add([]byte(parentOnsetLog), uint64(0))
+	f.Add([]byte(`{"seq":1,"event":{"kind":"link-down","demd":{"n":4294967296,"demands":[]}}}`+"\n"), uint64(0))
 
 	f.Fuzz(func(t *testing.T, raw []byte, base uint64) {
 		recs, err := parseLog("events.log", raw, base)

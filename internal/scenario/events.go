@@ -25,6 +25,15 @@ const (
 	EventDemandScale = "demand-scale"
 )
 
+// KnownKind reports whether kind is one of the event kinds above.
+func KnownKind(kind string) bool {
+	switch kind {
+	case EventLinkDown, EventLinkUp, EventDemand, EventDemandDelta, EventDemandScale:
+		return true
+	}
+	return false
+}
+
 // Event is one telemetry update in an online stream: a directed link
 // going down or coming back, or a demand update (dense matrices, a
 // sparse delta or a uniform scale of the base traffic). It is the one

@@ -210,7 +210,8 @@ func (m *Matrix) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jm); err != nil {
 		return fmt.Errorf("traffic: decode: %w", err)
 	}
-	if len(jm.D) != jm.N*jm.N {
+	// The division check runs first: jm.N*jm.N can overflow to len(jm.D).
+	if jm.N < 0 || (jm.N > 0 && len(jm.D)/jm.N != jm.N) || len(jm.D) != jm.N*jm.N {
 		return fmt.Errorf("traffic: matrix size %d does not match %d nodes", len(jm.D), jm.N)
 	}
 	for i := 0; i < jm.N; i++ {

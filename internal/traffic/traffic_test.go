@@ -260,6 +260,18 @@ func TestJSONRejectsBadShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"n":2,"demands":[5,0,0,0]}`), &m); err == nil {
 		t.Error("accepted nonzero diagonal")
 	}
+	// Sizes whose square overflows or is positive despite a negative n
+	// must be rejected, not index out of range.
+	for _, in := range []string{
+		`{"n":4294967296,"demands":[]}`,
+		`{"n":-2,"demands":[0,0,0,0]}`,
+		`{"n":-1,"demands":[]}`,
+		`{"n":0,"demands":[0]}`,
+	} {
+		if err := json.Unmarshal([]byte(in), &m); err == nil {
+			t.Errorf("accepted %s", in)
+		}
+	}
 }
 
 func TestQuickFluctuateMeanPreserved(t *testing.T) {
